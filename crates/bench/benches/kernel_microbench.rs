@@ -19,16 +19,18 @@
 //!   measuring the PR 4 layout gain;
 //! - **SIMD GEMM rows**: the explicit SIMD kernels (AVX2/SSE2 dispatch)
 //!   vs the scalar packed kernels on the same shape, asserted
-//!   bit-identical element-exact before timing. The `simd` column
-//!   records the tier each row ran at.
+//!   bit-identical element-exact before timing and timed as
+//!   order-balanced back-to-back pairs (`mirage_bench::paired_speedup`),
+//!   plus the unprepared RNS-BFP `gemm` at the 256×64×256 training
+//!   backward shape. The `simd` column records the tier each row ran at.
 //!
 //! Every comparison asserts **bit-identity** before timing anything, so
 //! running this bench in `--test` (smoke) mode is a correctness check.
 //! Full runs write `BENCH_kernels.json` for the perf trajectory.
 //! `MIRAGE_SIMD=off` (or `sse2`) caps the SIMD rows' tier, which CI
-//! uses to smoke the scalar fallback.
+//! uses to smoke the scalar and SSE2 paths against the scalar oracle.
 
-use mirage_bench::{print_table, write_summary, JsonField};
+use mirage_bench::{paired_speedup, print_table, write_summary, JsonField, PairedSpeedup};
 use mirage_bfp::{simd, BfpBlock, BfpConfig, PackedBfpMatrix, SimdPolicy};
 use mirage_rns::convert::{CrtConverter, ReverseConverter};
 use mirage_rns::residue;
@@ -56,6 +58,13 @@ fn best_of<F: FnMut()>(reps: usize, mut f: F) -> Duration {
 
 fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
+}
+
+/// Asserts two GEMM outputs are element-exact, bit for bit.
+fn assert_same_bits(want: &Tensor, got: &Tensor, what: &str) {
+    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+    assert_eq!(want.shape(), got.shape(), "{what}");
+    assert_eq!(bits(want), bits(got), "{what}");
 }
 
 /// PR 3's `BfpBlock::quantize`, replicated verbatim: the unconditional
@@ -336,45 +345,63 @@ fn main() {
     }
 
     // ── SIMD GEMM: explicit-SIMD kernels vs scalar packed kernels ────
-    // The "legacy" side here is this PR's baseline: the PR 4 scalar
-    // packed kernel the rows above just measured. Bit-identity between
-    // the tiers is the tentpole contract and is asserted element-exact
-    // before any timing.
+    // The "legacy" side here is the scalar packed kernel the rows above
+    // just measured. Bit-identity between the tiers is the contract and
+    // is asserted element-exact before any timing; the two sides are
+    // then timed as order-balanced back-to-back pairs
+    // (`paired_speedup`), so host drift cancels in the ratio.
     let tier = simd::resolve_tier(SimdPolicy::Auto).label();
+    let rounds = if smoke { 2 } else { 30 };
+    let mut record_simd = |kernel: &str, workload: String, r: PairedSpeedup| {
+        rows.push(vec![
+            kernel.to_string(),
+            workload.clone(),
+            format!("{:.3}", r.baseline_s * 1e3),
+            format!("{:.3}", r.candidate_s * 1e3),
+            format!("{:.2}x", r.speedup),
+            tier.to_string(),
+            "yes".into(),
+        ]);
+        json.push(vec![
+            JsonField::Str("kernel", kernel.to_string()),
+            JsonField::Str("workload", workload),
+            JsonField::Num("legacy_ms", r.baseline_s * 1e3),
+            JsonField::Num("packed_ms", r.candidate_s * 1e3),
+            JsonField::Num("speedup", r.speedup),
+            JsonField::Str("simd", tier.to_string()),
+            JsonField::Num("threads", 1.0),
+            JsonField::Num("pairs_kept", r.kept as f64),
+        ]);
+    };
     {
         let scalar = BfpEngine::new(config).with_simd_policy(SimdPolicy::Off);
         let vector = BfpEngine::new(config); // SimdPolicy::Auto
         let prepared_scalar = scalar.prepare(&b).unwrap();
         let prepared_vector = vector.prepare(&b).unwrap();
-        let out_scalar = scalar.gemm_prepared(&a, &prepared_scalar).unwrap();
-        let out_vector = vector.gemm_prepared(&a, &prepared_vector).unwrap();
-        let scalar_bits: Vec<u32> = out_scalar.data().iter().map(|v| v.to_bits()).collect();
-        let vector_bits: Vec<u32> = out_vector.data().iter().map(|v| v.to_bits()).collect();
-        assert_eq!(
-            scalar_bits, vector_bits,
-            "SIMD BFP GEMM diverged from the scalar packed kernel"
+        assert_same_bits(
+            &scalar.gemm_prepared(&a, &prepared_scalar).unwrap(),
+            &vector.gemm_prepared(&a, &prepared_vector).unwrap(),
+            "SIMD BFP GEMM diverged from the scalar packed kernel",
         );
-        let t_scalar = best_of(reps(5), || {
-            black_box(
-                scalar
-                    .gemm_prepared(black_box(&a), &prepared_scalar)
-                    .unwrap(),
-            );
-        });
-        let t_vector = best_of(reps(5), || {
-            black_box(
-                vector
-                    .gemm_prepared(black_box(&a), &prepared_vector)
-                    .unwrap(),
-            );
-        });
-        record(
-            "bfp gemm (simd)",
-            format!("{M}x{K}x{N}"),
-            tier,
-            t_scalar,
-            t_vector,
+        let r = paired_speedup(
+            rounds,
+            reps(4),
+            || {
+                black_box(
+                    vector
+                        .gemm_prepared(black_box(&a), &prepared_vector)
+                        .unwrap(),
+                );
+            },
+            || {
+                black_box(
+                    scalar
+                        .gemm_prepared(black_box(&a), &prepared_scalar)
+                        .unwrap(),
+                );
+            },
         );
+        record_simd("bfp gemm (simd)", format!("{M}x{K}x{N}"), r);
     }
     {
         let scalar = RnsBfpEngine::with_min_special_set(config)
@@ -383,34 +410,61 @@ fn main() {
         let vector = RnsBfpEngine::with_min_special_set(config).unwrap();
         let prepared_scalar = scalar.prepare(&b).unwrap();
         let prepared_vector = vector.prepare(&b).unwrap();
-        let out_scalar = scalar.gemm_prepared(&a, &prepared_scalar).unwrap();
-        let out_vector = vector.gemm_prepared(&a, &prepared_vector).unwrap();
-        let scalar_bits: Vec<u32> = out_scalar.data().iter().map(|v| v.to_bits()).collect();
-        let vector_bits: Vec<u32> = out_vector.data().iter().map(|v| v.to_bits()).collect();
-        assert_eq!(
-            scalar_bits, vector_bits,
-            "SIMD RNS-BFP GEMM diverged from the scalar packed kernel"
+        assert_same_bits(
+            &scalar.gemm_prepared(&a, &prepared_scalar).unwrap(),
+            &vector.gemm_prepared(&a, &prepared_vector).unwrap(),
+            "SIMD RNS-BFP GEMM diverged from the scalar packed kernel",
         );
-        let t_scalar = best_of(reps(3), || {
-            black_box(
-                scalar
-                    .gemm_prepared(black_box(&a), &prepared_scalar)
-                    .unwrap(),
-            );
-        });
-        let t_vector = best_of(reps(3), || {
-            black_box(
-                vector
-                    .gemm_prepared(black_box(&a), &prepared_vector)
-                    .unwrap(),
-            );
-        });
-        record(
-            "rns-bfp gemm (simd)",
-            format!("{M}x{K}x{N}"),
-            tier,
-            t_scalar,
-            t_vector,
+        let r = paired_speedup(
+            rounds,
+            reps(2),
+            || {
+                black_box(
+                    vector
+                        .gemm_prepared(black_box(&a), &prepared_vector)
+                        .unwrap(),
+                );
+            },
+            || {
+                black_box(
+                    scalar
+                        .gemm_prepared(black_box(&a), &prepared_scalar)
+                        .unwrap(),
+                );
+            },
+        );
+        record_simd("rns-bfp gemm (simd)", format!("{M}x{K}x{N}"), r);
+    }
+    // The training backward shape (dW = Xᵀ·dY at batch 64 over a
+    // 256-wide layer) on the unprepared path: both operands are
+    // quantized and forward-converted every call, as in a training step.
+    {
+        let (tm, tk, tn) = (256, 64, 256);
+        let xt = Tensor::randn(&[tm, tk], 1.0, &mut rng);
+        let dy = Tensor::randn(&[tk, tn], 1.0, &mut rng);
+        let scalar = RnsBfpEngine::with_min_special_set(config)
+            .unwrap()
+            .with_simd_policy(SimdPolicy::Off);
+        let vector = RnsBfpEngine::with_min_special_set(config).unwrap();
+        assert_same_bits(
+            &scalar.gemm(&xt, &dy).unwrap(),
+            &vector.gemm(&xt, &dy).unwrap(),
+            "SIMD RNS-BFP unprepared GEMM diverged from the scalar kernel",
+        );
+        let r = paired_speedup(
+            rounds,
+            reps(2),
+            || {
+                black_box(vector.gemm(black_box(&xt), black_box(&dy)).unwrap());
+            },
+            || {
+                black_box(scalar.gemm(black_box(&xt), black_box(&dy)).unwrap());
+            },
+        );
+        record_simd(
+            "rns-bfp gemm (simd, unprepared)",
+            format!("{tm}x{tk}x{tn}"),
+            r,
         );
     }
 

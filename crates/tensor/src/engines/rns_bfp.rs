@@ -73,6 +73,29 @@ struct PreparedRnsCols {
     col_count: usize,
 }
 
+/// Power-of-two scale tables of one 3-channel GEMM: `pa2` holds
+/// `pow2` of every A-side group exponent (`m × groups_per_row`), `pb2`
+/// one column block's B-side factors for the fused AVX2 routine
+/// (`groups_per_row × 8`, restaged per block). Allocated by
+/// the caller so the kernel itself never allocates.
+struct ScaleTables {
+    pa2: Vec<f64>,
+    pb2: Vec<f64>,
+}
+
+impl ScaleTables {
+    /// Stages Fig. 2 step 8's B-side factors for the `jw` columns
+    /// starting at `first_col`: once per block instead of once per
+    /// (row, group, column).
+    fn stage_block(&mut self, cols: &PackedRnsMatrix, first_col: usize, jw: usize) {
+        for gi in 0..cols.groups_per_row {
+            for jj in 0..jw {
+                self.pb2[gi * rns_simd::BLOCK + jj] = pow2(cols.scale_exp(first_col + jj, gi));
+            }
+        }
+    }
+}
+
 /// The full Mirage numerical path: BFP mantissae → forward conversion →
 /// per-modulus modular dot products → reverse conversion → FP32
 /// accumulation (paper Fig. 2, steps 2–9).
@@ -226,31 +249,44 @@ impl RnsBfpEngine {
         // variants accumulate groups in ascending order per output
         // element, so results are bit-identical across dispatches.
         match (moduli.len(), a_rns.g) {
-            (3, 16) => self.rns_blocks::<16>(&a_rns, cols, col_start, m, n, out),
-            (3, 32) => self.rns_blocks::<32>(&a_rns, cols, col_start, m, n, out),
+            (3, g @ (16 | 32)) => {
+                // The blocked kernel's power-of-two scale tables, sized
+                // here so the kernel itself stays allocation-free.
+                let mut scales = ScaleTables {
+                    pa2: a_rns.scale_exps.iter().map(|&e| pow2(e)).collect(),
+                    pb2: vec![0.0; a_rns.groups_per_row * rns_simd::BLOCK],
+                };
+                if g == 16 {
+                    self.rns_blocks::<16>(&a_rns, cols, col_start, (m, n), &mut scales, out);
+                } else {
+                    self.rns_blocks::<32>(&a_rns, cols, col_start, (m, n), &mut scales, out);
+                }
+            }
             _ => self.rns_generic(&a_rns, cols, col_start, m, n, out),
         }
         Ok(m)
     }
 
-    /// The blocked 3-channel kernel: `JW` output columns per sweep,
-    /// each with its own dot → CRT → scale chain, so the long per-group
-    /// latency chains of neighbouring columns overlap. When every plane
-    /// took the narrow `u16` tier and the CRT has fused `u64` constants
-    /// (the paper's operating points), the whole group pipeline is
-    /// inlined over raw slices — no per-dot tier dispatch, no per-group
-    /// converter call.
+    /// The blocked 3-channel kernel: `JW` output columns per
+    /// sweep, each with its own dot → CRT → scale chain, so the long
+    /// per-group latency chains of neighbouring columns overlap. When
+    /// every plane took the narrow `u16` tier and the CRT has fused
+    /// `u64` constants (the paper's operating points), the whole group
+    /// pipeline is inlined over raw slices — no per-dot tier dispatch,
+    /// no per-group converter call — and on AVX2 it runs as one fused
+    /// vector routine per 8-column block ([`rns_simd::Crt3Lanes`]).
     // mirage-lint: no_alloc
     fn rns_blocks<const G: usize>(
         &self,
         a_rns: &PackedRnsMatrix,
         cols: &PackedRnsMatrix,
         col_start: usize,
-        m: usize,
-        n: usize,
+        (m, n): (usize, usize),
+        scales: &mut ScaleTables,
         out: &mut [f32],
     ) {
-        const JW: usize = 8;
+        const JW: usize = rns_simd::BLOCK;
+        let groups = a_rns.groups_per_row;
         let moduli = self.moduli.moduli();
         let (m0, m1, m2) = (moduli[0], moduli[1], moduli[2]);
         let (p0, p1, p2) = (&a_rns.planes[0], &a_rns.planes[1], &a_rns.planes[2]);
@@ -278,7 +314,7 @@ impl RnsBfpEngine {
             }
             // Fig. 2 step 7: the fused small-range CRT (identical
             // arithmetic to `to_signed_trusted`, constants hoisted),
-            // shared by the scalar and vector dot paths — which feed it
+            // shared by the scalar and SSE2 dot paths — which feed it
             // bit-identical `u32` channel dots, so everything from here
             // down is tier-independent.
             let crt_signed = |d0: u64, d1: u64, d2: u64| -> i64 {
@@ -294,45 +330,60 @@ impl RnsBfpEngine {
                 }
             };
             // mirage-lint: end_region(int_kernel)
-            // Vector residue dots when the tier, group size, and block
-            // width allow: one `pmaddwd` sweep yields all 3 channels ×
-            // 8 columns of exact `u32` dots (see `mirage_rns::simd` for
-            // the exactness argument). Ragged tails and declined shapes
-            // run the scalar dot — same integers either way.
+            // On AVX2 the whole group pipeline — channel dots, Barrett
+            // reductions, CRT, signed adjust and scale recombination —
+            // runs fused in vector registers, 8 columns at a time, when
+            // this moduli set passes the 32-bit lane bound (checked here,
+            // once per GEMM; see `mirage_rns::simd`). Otherwise `pmaddwd`
+            // SSE2 dots feed the scalar CRT when the tier allows. Ragged
+            // tails and declined shapes run the scalar dot — the same
+            // integers and the same recombination chain either way.
             let tier = mirage_bfp::simd::resolve_tier(self.simd);
-            let use8 = tier == SimdTier::Avx2 && G.is_multiple_of(16) && rns_simd::dot8_available();
+            let fused = if tier == SimdTier::Avx2 {
+                rns_simd::Crt3Lanes::new(moduli, &crt, G)
+            } else {
+                None
+            };
             let use4 = tier >= SimdTier::Sse2 && G.is_multiple_of(8) && rns_simd::dot4_available();
-            let stride = cols.groups_per_row * cols.g;
+            let stride = groups * cols.g;
             let mut acc = [0.0f32; JW];
             for j0 in (0..n).step_by(JW) {
                 let jw = (n - j0).min(JW);
+                if fused.is_some() {
+                    scales.stage_block(cols, col_start + j0, jw);
+                }
+                let b_base = cols.group_offset(col_start + j0, 0);
                 for i in 0..m {
+                    let row_pa2 = &scales.pa2[i * groups..(i + 1) * groups];
+                    let dst = &mut out[i * n + j0..i * n + j0 + jw];
+                    if let Some(lanes) = &fused {
+                        let a_off = a_rns.group_offset(i, 0);
+                        if lanes.block8::<G>(
+                            [a0, a1, a2],
+                            a_off,
+                            [b0, b1, b2],
+                            b_base,
+                            stride,
+                            row_pa2,
+                            &scales.pb2,
+                            dst,
+                        ) {
+                            continue;
+                        }
+                    }
                     acc[..jw].fill(0.0);
-                    for gi in 0..a_rns.groups_per_row {
+                    for (gi, &pa) in row_pa2.iter().enumerate() {
                         let a_off = a_rns.group_offset(i, gi);
-                        let pa2 = pow2(a_rns.scale_exp(i, gi));
-                        let b_base = cols.group_offset(col_start + j0, gi);
+                        let b_gi = b_base + gi * G;
                         let mut dots = [[0u32; JW]; 3];
-                        let vector = if jw != JW {
-                            false
-                        } else if use8 {
-                            rns_simd::dot8x3_u16(
-                                [a0, a1, a2],
-                                a_off,
-                                [b0, b1, b2],
-                                b_base,
-                                stride,
-                                G,
-                                &mut dots,
-                            )
-                        } else if use4 {
+                        let vector = if jw == JW && use4 {
                             let mut lo = [[0u32; 4]; 3];
                             let mut hi = [[0u32; 4]; 3];
                             let ok = rns_simd::dot4x3_u16(
                                 [a0, a1, a2],
                                 a_off,
                                 [b0, b1, b2],
-                                b_base,
+                                b_gi,
                                 stride,
                                 G,
                                 &mut lo,
@@ -340,7 +391,7 @@ impl RnsBfpEngine {
                                 [a0, a1, a2],
                                 a_off,
                                 [b0, b1, b2],
-                                b_base + 4 * stride,
+                                b_gi + 4 * stride,
                                 stride,
                                 G,
                                 &mut hi,
@@ -365,7 +416,7 @@ impl RnsBfpEngine {
                                 );
                                 // Fig. 2 step 8, exponent recombination.
                                 let pb2 = pow2(cols.scale_exp(col, gi));
-                                *slot += (integer as f64 * (pa2 * pb2)) as f32;
+                                *slot += (integer as f64 * (pa * pb2)) as f32;
                             }
                         } else {
                             for (jj, slot) in acc[..jw].iter_mut().enumerate() {
@@ -381,13 +432,11 @@ impl RnsBfpEngine {
                                 );
                                 // Fig. 2 step 8, exponent recombination.
                                 let pb2 = pow2(cols.scale_exp(col, gi));
-                                *slot += (integer as f64 * (pa2 * pb2)) as f32;
+                                *slot += (integer as f64 * (pa * pb2)) as f32;
                             }
                         }
                     }
-                    for (jj, &v) in acc[..jw].iter().enumerate() {
-                        out[i * n + j0 + jj] = v;
-                    }
+                    dst.copy_from_slice(&acc[..jw]);
                 }
             }
             return;

@@ -20,7 +20,10 @@
 //!   accounting. The serving front end opens a scope around each model
 //!   execution; injection and correction events recorded anywhere in
 //!   the call tree land in that scope, so each response can report
-//!   exactly what happened to *it*.
+//!   exactly what happened to *it*. `ParallelGemm` workers run on
+//!   their own threads: each opens a scope of its own when the caller
+//!   has one open, and the caller folds the workers' counts into its
+//!   scope after the join.
 //!
 //! Residue-channel flips ([`FaultInjector::corrupt_residue`]) are
 //! consumed by the RRNS-protected engine
@@ -203,6 +206,17 @@ impl FaultScope {
         let counts = SCOPE_COUNTS.with(|c| c.replace(self.prev_counts));
         SCOPE_ACTIVE.with(|a| a.set(self.prev_active));
         counts
+    }
+
+    /// Whether a scope is open on the current thread.
+    pub(crate) fn is_active() -> bool {
+        SCOPE_ACTIVE.with(Cell::get)
+    }
+
+    /// Adds counts recorded on another thread — a parallel GEMM
+    /// worker's own scope — to the scope open on this thread, if any.
+    pub(crate) fn record(counts: FaultCounts) {
+        scope_add(|c| c.accumulate(counts));
     }
 }
 

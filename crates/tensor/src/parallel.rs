@@ -55,6 +55,7 @@
 //! threshold — so parallelism never loses to its own overhead.
 
 use crate::engines::{gemm_dims, GemmEngine, PreparedRhs};
+use crate::faults::{FaultCounts, FaultScope};
 use crate::{Result, Tensor, TensorError};
 use mirage_bfp::BfpConfig;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -336,10 +337,17 @@ impl<E: GemmEngine> ParallelGemm<E> {
         }
         let next = AtomicUsize::new(0);
         let slots: Vec<ResultSlot> = inputs.iter().map(|_| Mutex::new(None)).collect();
+        // One fault tally per worker, folded into the caller's scope in
+        // worker order once the thread scope has joined every worker.
+        let scoped = FaultScope::is_active();
+        let tallies: Vec<Mutex<FaultCounts>> = (0..threads)
+            .map(|_| Mutex::new(FaultCounts::ZERO))
+            .collect();
+        let (next, slots_ref) = (&next, &slots);
         std::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|| {
-                    as_parallel_worker(|| loop {
+            for tally in &tallies {
+                s.spawn(move || {
+                    let ((), faults) = as_parallel_worker(scoped, || loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= inputs.len() {
                             break;
@@ -348,13 +356,23 @@ impl<E: GemmEngine> ParallelGemm<E> {
                         // Poison recovery: each slot is written exactly
                         // once by the worker that claimed its index, so
                         // a panic elsewhere cannot leave it half-set.
-                        *slots[i]
+                        *slots_ref[i]
                             .lock()
                             .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(result);
-                    })
+                    });
+                    *tally
+                        .lock()
+                        .unwrap_or_else(std::sync::PoisonError::into_inner) = faults;
                 });
             }
         });
+        for tally in tallies {
+            FaultScope::record(
+                tally
+                    .into_inner()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner),
+            );
+        }
         slots
             .into_iter()
             .map(|slot| {
@@ -541,11 +559,12 @@ impl<E: GemmEngine> ParallelGemm<E> {
         }
 
         let col_tiles = &col_tiles;
+        let scoped = FaultScope::is_active();
         std::thread::scope(|scope| -> Result<()> {
             let mut handles = Vec::with_capacity(per_worker.len());
             for bands in per_worker {
-                handles.push(scope.spawn(move || -> Result<()> {
-                    as_parallel_worker(|| {
+                handles.push(scope.spawn(move || {
+                    as_parallel_worker(scoped, || -> Result<()> {
                         for (index, band) in bands {
                             self.process_band(a, col_tiles, index * band_height, k, n, band)?;
                         }
@@ -553,14 +572,23 @@ impl<E: GemmEngine> ParallelGemm<E> {
                     })
                 }));
             }
+            // Every worker is joined and its fault counts folded into
+            // the caller's scope, in worker order, before any error is
+            // returned: a failed band must not hide faults that other
+            // bands detected and corrected.
+            let mut outcome = Ok(());
             for handle in handles {
                 // Re-raising a worker panic on the caller thread is the
                 // intended behaviour: workers only panic on bugs, and
                 // swallowing the panic would return a half-filled buffer.
                 // mirage-lint: allow(panic_ok) -- intentionally re-raises a worker panic; returning would hand back a half-filled buffer
-                handle.join().expect("GEMM worker panicked")?;
+                let (result, faults) = handle.join().expect("GEMM worker panicked");
+                FaultScope::record(faults);
+                if outcome.is_ok() {
+                    outcome = result;
+                }
             }
-            Ok(())
+            outcome
         })
     }
 
@@ -628,10 +656,19 @@ std::thread_local! {
 }
 
 /// Runs `f` with the nested-driver flag set for this (worker) thread.
-fn as_parallel_worker<T>(f: impl FnOnce() -> T) -> T {
+/// With `scoped` (the spawning caller had a [`FaultScope`] open), `f`
+/// runs inside a fault scope of the worker's own, whose counts are
+/// returned for the caller to fold into its scope after the join —
+/// thread-local scopes are not inherited by spawned threads.
+fn as_parallel_worker<T>(scoped: bool, f: impl FnOnce() -> T) -> (T, FaultCounts) {
     IN_PARALLEL_WORKER.with(|flag| flag.set(true));
     // Worker threads are per-scope and never reused, so no reset needed.
-    f()
+    if !scoped {
+        return (f(), FaultCounts::ZERO);
+    }
+    let scope = FaultScope::begin();
+    let out = f();
+    (out, scope.finish())
 }
 
 impl<E: GemmEngine> GemmEngine for ParallelGemm<E> {
@@ -923,5 +960,40 @@ mod tests {
         let batch = parallel.gemm_batch(std::slice::from_ref(&a), &b).unwrap();
         assert_eq!(batch.len(), 1);
         assert_eq!(batch[0].data(), engine.gemm(&a, &b).unwrap().data());
+    }
+
+    #[test]
+    fn worker_fault_counts_reach_the_callers_scope() {
+        // The fan-out is called directly with 2 workers, so the
+        // cross-thread accounting runs even on a 1-CPU host (where
+        // `planned_workers` would pick the serial path). Every event
+        // the injector records must land in the caller's scope.
+        use crate::engines::ProtectedRnsBfpEngine;
+        use crate::faults::{FaultConfig, FaultInjector};
+        use std::sync::Arc;
+        let (m, k, n) = (64, 64, 32);
+        let (a, b) = pair(77, m, k, n);
+        let injector = Arc::new(FaultInjector::new(
+            FaultConfig::disabled(5).with_residue_flip_rate(1e-3),
+        ));
+        let engine = ProtectedRnsBfpEngine::with_min_special_set(BfpConfig::mirage_default())
+            .unwrap()
+            .with_injector(Arc::clone(&injector));
+        let parallel = ParallelGemm::new(engine, four_threads(16, 0));
+        let before = injector.counts();
+        let scope = FaultScope::begin();
+        // Uncorrectable groups surface as a typed error; the counts
+        // must reconcile either way.
+        let _ = parallel.fan_out(&a, &b, None, (m, k, n), 2);
+        let counts = scope.finish();
+        let after = injector.counts();
+        let delta = FaultCounts {
+            injected: after.injected - before.injected,
+            detected: after.detected - before.detected,
+            corrected: after.corrected - before.corrected,
+            uncorrectable: after.uncorrectable - before.uncorrectable,
+        };
+        assert!(delta.injected > 0, "the injector must fire at this rate");
+        assert_eq!(counts, delta);
     }
 }

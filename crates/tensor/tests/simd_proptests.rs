@@ -12,9 +12,14 @@
 //! Shapes deliberately include k not a multiple of any lane width,
 //! group sizes g ∈ {8, 16, 32, 64}, the i16-shadow mantissa tier
 //! (bm ≤ 15, the SIMD entry requirement) and mantissas past it, and
-//! zero-dimension edges.
+//! zero-dimension edges. The fused RNS-BFP pipeline is additionally
+//! driven with operands scaled across 2^±100 and with a moduli set
+//! that fails its 32-bit lane bound.
 
 use mirage_bfp::{BfpConfig, SimdPolicy};
+use mirage_rns::convert::CrtConverter;
+use mirage_rns::simd::Crt3Lanes;
+use mirage_rns::ModuliSet;
 use mirage_tensor::engines::{BfpEngine, Epilogue, RnsBfpEngine};
 use mirage_tensor::{GemmEngine, Tensor};
 use proptest::prelude::*;
@@ -138,6 +143,103 @@ proptest! {
             &a,
             &b,
         )?;
+    }
+}
+
+/// `operands` with `a` scaled by `2^sa` and `b` by `2^sb` — exact
+/// power-of-two scalings, so the quantized mantissas are unchanged and
+/// only the group exponents move. Scales across `2^±100` push the
+/// recombined products into `f32` subnormals, overflow to infinity,
+/// and exact rounding ties.
+fn scaled_operands(m: usize, k: usize, n: usize, seed: u64, sa: i32, sb: i32) -> (Tensor, Tensor) {
+    let (a, b) = operands(m, k, n, seed);
+    let scale = |t: Tensor, e: i32| {
+        let shape = t.shape().to_vec();
+        let f = 2f32.powi(e);
+        Tensor::from_vec(t.data().iter().map(|v| v * f).collect(), &shape).unwrap()
+    };
+    (scale(a, sa), scale(b, sb))
+}
+
+/// Asserts the RNS-BFP engine under every SIMD policy matches the
+/// scalar oracle *and* the scalar BFP engine bit for bit.
+fn assert_rns_matches_scalar_bfp(
+    config: BfpConfig,
+    moduli: Option<&[u64]>,
+    a: &Tensor,
+    b: &Tensor,
+) -> Result<(), TestCaseError> {
+    let make = |policy| {
+        match moduli {
+            Some(set) => RnsBfpEngine::new(config, ModuliSet::new(set).unwrap()).unwrap(),
+            None => RnsBfpEngine::with_min_special_set(config).unwrap(),
+        }
+        .with_simd_policy(policy)
+    };
+    assert_policies_bit_identical(make, a, b)?;
+    let bfp = BfpEngine::new(config).with_simd_policy(SimdPolicy::Off);
+    let want: Vec<u32> = bfp
+        .gemm(a, b)
+        .unwrap()
+        .data()
+        .iter()
+        .map(|v| v.to_bits())
+        .collect();
+    let got: Vec<u32> = make(SimdPolicy::Auto)
+        .gemm(a, b)
+        .unwrap()
+        .data()
+        .iter()
+        .map(|v| v.to_bits())
+        .collect();
+    prop_assert_eq!(got, want, "RNS-BFP (auto) vs scalar BFP");
+    Ok(())
+}
+
+/// Shapes for the fused 8-column pipeline: n straddles the block width
+/// (full blocks, ragged tails, and both), k spans one to several
+/// groups with padding.
+fn fused_shapes() -> impl Strategy<Value = (usize, usize, usize, u64)> {
+    (1usize..6, 1usize..100, 5usize..20, any::<u64>())
+}
+
+proptest! {
+    /// The fused AVX2 group pipeline (dots, integer CRT, recombination)
+    /// at g ∈ {16, 32} with operands scaled across 2^±100: every
+    /// policy equals the scalar RNS path and the scalar BFP engine,
+    /// bit for bit, including subnormal, infinite and tied products.
+    #[test]
+    fn rns_bfp_fused_pipeline_is_exact_across_extreme_scales(
+        (m, k, n, seed) in fused_shapes(),
+        g_pick in 0usize..2,
+        bm in 2u32..=8,
+        sa in -100i32..=100,
+        sb in -100i32..=100,
+    ) {
+        let config = BfpConfig::new(bm, [16, 32][g_pick]).unwrap();
+        let (a, b) = scaled_operands(m, k, n, seed, sa, sb);
+        assert_rns_matches_scalar_bfp(config, None, &a, &b)?;
+    }
+
+    /// A 3-modulus co-prime set whose CRT weights overflow the 32-bit
+    /// lane bound: it gets no fused lanes, and the AVX2 policy's
+    /// scalar-CRT fallback stays bit-identical.
+    #[test]
+    fn rns_bfp_sets_failing_the_lane_bound_fall_back_exactly(
+        (m, k, n, seed) in fused_shapes(),
+        g_pick in 0usize..2,
+        bm in 2u32..=8,
+        sa in -100i32..=100,
+    ) {
+        const WIDE: [u64; 3] = [1021, 1023, 1024];
+        let g = [16, 32][g_pick];
+        let set = ModuliSet::new(&WIDE).unwrap();
+        let crt = CrtConverter::new(&set);
+        let constants = crt.small_constants().expect("M < 2^31");
+        prop_assert!(Crt3Lanes::new(set.moduli(), &constants, g).is_none());
+        let config = BfpConfig::new(bm, g).unwrap();
+        let (a, b) = scaled_operands(m, k, n, seed, sa, 0);
+        assert_rns_matches_scalar_bfp(config, Some(&WIDE), &a, &b)?;
     }
 }
 
