@@ -11,8 +11,7 @@
 //! regressions the pinned-4-worker version of this bench recorded.
 //!
 //! The second table measures **weight preparation**: `prepare` +
-//! repeated `gemm_prepared` (and `InferenceSession` batched serving)
-//! against re-quantizing B on every call. Prepared results are asserted
+//! repeated `gemm_prepared` against re-quantizing B on every call. Prepared results are asserted
 //! bit-identical to the unprepared path for the BFP, RNS-BFP and exact
 //! engines; the speedup shows that weight quantization no longer scales
 //! with call count, band count, or batch size.
@@ -280,49 +279,6 @@ fn main() {
             reps(2),
         );
     }
-    // Batched serving through the per-layer cache: InferenceSession
-    // prepares the weight once for ALL batches, while Mirage::infer_batch
-    // re-prepares per call (already amortized across the batch's items
-    // and bands).
-    {
-        let serve_batch: Vec<Tensor> = (0..16)
-            .map(|_| Tensor::randn(&[8, K], 1.0, &mut rng))
-            .collect();
-        let session = mirage.inference_session();
-        session.load("layer0", &weight).unwrap();
-        let per_call = mirage.infer_batch(&serve_batch, &weight).unwrap();
-        let cached = session.infer_batch("layer0", &serve_batch).unwrap();
-        for (s, p) in per_call.iter().zip(&cached) {
-            assert_eq!(s.data(), p.data(), "session inference diverged");
-        }
-        let t_per_call = best_of(reps(3), || {
-            for _ in 0..CALLS {
-                black_box(
-                    mirage
-                        .infer_batch(black_box(&serve_batch), &weight)
-                        .unwrap(),
-                );
-            }
-        });
-        let t_cached = best_of(reps(3), || {
-            for _ in 0..CALLS {
-                black_box(
-                    session
-                        .infer_batch("layer0", black_box(&serve_batch))
-                        .unwrap(),
-                );
-            }
-        });
-        prep_rows.push(vec![
-            "session (batch 16)".into(),
-            format!("{CALLS}x 16x 8x{K}x{N}"),
-            format!("{:.2}", ms(t_per_call)),
-            format!("{:.2}", ms(t_cached)),
-            format!("{:.2}x", t_per_call.as_secs_f64() / t_cached.as_secs_f64()),
-            "yes".into(),
-        ]);
-    }
-
     print_table(
         &format!("Prepared-weight speedup — {CALLS} calls per measurement"),
         &[
@@ -354,8 +310,6 @@ fn main() {
     let mut c = Criterion::default().sample_size(10).configure_from_args();
     let parallel_bfp = ParallelGemm::new(serial_bfp, config);
     let prepared_b = serial_bfp.prepare(&b).unwrap();
-    let session = mirage.inference_session();
-    session.load("bench", &weight).unwrap();
     c.bench_function("parallel/serial_bfp_256", |bch| {
         bch.iter(|| serial_bfp.gemm(black_box(&a), black_box(&b)).unwrap())
     });
@@ -378,9 +332,6 @@ fn main() {
                 .gemm_prepared(black_box(&a), black_box(&prepared_b))
                 .unwrap()
         })
-    });
-    c.bench_function("prepared/session_infer_batch_16", |bch| {
-        bch.iter(|| session.infer_batch("bench", black_box(&batch)).unwrap())
     });
     c.final_summary();
 }

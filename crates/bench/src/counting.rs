@@ -5,13 +5,14 @@
 //! after compile") are about which engine entry points run on the hot
 //! path: weight-side quantization happens inside [`GemmEngine::prepare`]
 //! (once, at compile time) or inside a raw [`GemmEngine::gemm`] (every
-//! call, on the eager path) — never inside
-//! [`GemmEngine::gemm_prepared`]. [`CountingEngine`] wraps any engine
+//! call, on the eager path) — never inside a prepared GEMM.
+//! [`CountingEngine`] wraps any engine
 //! and tallies every entry point through shared atomic counters, so a
 //! test can compile a model, serve a thousand requests, and assert the
 //! `prepare`/`gemm` counters did not move — the call-count analogue of
 //! `kernel_microbench`'s scratch-pointer spot-check.
 
+use mirage_tensor::engines::Epilogue;
 use mirage_tensor::{GemmEngine, PreparedRhs, Result, Tensor};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -23,7 +24,6 @@ use std::sync::Arc;
 pub struct GemmCounters {
     raw_gemms: AtomicUsize,
     prepares: AtomicUsize,
-    tile_prepares: AtomicUsize,
     prepared_gemms: AtomicUsize,
 }
 
@@ -40,15 +40,10 @@ impl GemmCounters {
         self.prepares.load(Ordering::Relaxed)
     }
 
-    /// Calls to [`GemmEngine::prepare_tile`] (slicing an existing
-    /// preparation; no re-quantization).
-    pub fn tile_prepares(&self) -> usize {
-        self.tile_prepares.load(Ordering::Relaxed)
-    }
-
-    /// Calls to [`GemmEngine::gemm_prepared`] /
-    /// [`GemmEngine::gemm_prepared_into`] — the serving hot path, which
-    /// only quantizes the activation side.
+    /// Prepared GEMMs — [`GemmEngine::gemm_prepared`],
+    /// [`GemmEngine::gemm_prepared_into`] or
+    /// [`GemmEngine::gemm_prepared_epilogue_into`], one count per call:
+    /// the serving hot path, which only quantizes the activation side.
     pub fn prepared_gemms(&self) -> usize {
         self.prepared_gemms.load(Ordering::Relaxed)
     }
@@ -105,29 +100,15 @@ impl<E: GemmEngine> GemmEngine for CountingEngine<E> {
         self.inner.prepare(b)
     }
 
-    fn prepare_tile(
-        &self,
-        whole: &PreparedRhs,
-        c0: usize,
-        width: usize,
-    ) -> Result<Option<PreparedRhs>> {
-        self.counters.tile_prepares.fetch_add(1, Ordering::Relaxed);
-        self.inner.prepare_tile(whole, c0, width)
-    }
-
-    fn gemm_prepared(&self, a: &Tensor, b: &PreparedRhs) -> Result<Tensor> {
-        self.counters.prepared_gemms.fetch_add(1, Ordering::Relaxed);
-        self.inner.gemm_prepared(a, b)
-    }
-
-    fn gemm_prepared_into(
+    fn gemm_prepared_epilogue_into(
         &self,
         a: &Tensor,
         b: &PreparedRhs,
+        epilogue: &Epilogue<'_>,
         out: &mut Vec<f32>,
     ) -> Result<(usize, usize)> {
         self.counters.prepared_gemms.fetch_add(1, Ordering::Relaxed);
-        self.inner.gemm_prepared_into(a, b, out)
+        self.inner.gemm_prepared_epilogue_into(a, b, epilogue, out)
     }
 }
 
@@ -154,11 +135,13 @@ mod tests {
             (4, 3)
         );
         assert_eq!(out, reference.data());
+        engine
+            .gemm_prepared_epilogue_into(&a, &prepared, &Epilogue::none().with_relu(), &mut out)
+            .unwrap();
         let _ = engine.prepare_tile(&prepared, 0, 2).unwrap();
         assert_eq!(counters.raw_gemms(), 1);
         assert_eq!(counters.prepares(), 1);
-        assert_eq!(counters.prepared_gemms(), 2);
-        assert_eq!(counters.tile_prepares(), 1);
+        assert_eq!(counters.prepared_gemms(), 3);
         assert_eq!(counters.weight_side_work(), 2);
         assert_eq!(engine.name(), "fp32");
         assert!(engine.tile_invariant());

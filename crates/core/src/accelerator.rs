@@ -2,7 +2,7 @@
 
 use crate::photonic_gemm::PhotonicGemmEngine;
 use crate::report::PerformanceReport;
-use crate::session::{InferenceSession, ModelSession};
+use crate::session::ModelSession;
 use mirage_arch::breakdown::{area_breakdown, power_breakdown, AreaBreakdown, PowerBreakdown};
 use mirage_arch::energy::DigitalEnergy;
 use mirage_arch::{MirageConfig, Workload};
@@ -89,8 +89,9 @@ impl Mirage {
     /// [`Mirage::gemm_engine`]. An empty batch returns an empty `Vec`.
     ///
     /// Each call still prepares the weight once; to amortize across
-    /// calls as well (millions of requests against static weights), use
-    /// [`Mirage::inference_session`].
+    /// calls as well (millions of requests against static weights),
+    /// prepare it with [`Mirage::prepare_weight`] or compile the model
+    /// ([`Mirage::compile`]).
     ///
     /// # Errors
     ///
@@ -167,12 +168,6 @@ impl Mirage {
         Ok(mirage_nn::ShardPlan::new(&compiled, spec)?.into_network())
     }
 
-    /// An [`InferenceSession`] over this accelerator: caches prepared
-    /// weights per layer so repeated inference never re-quantizes them.
-    pub fn inference_session(&self) -> InferenceSession {
-        InferenceSession::new(self)
-    }
-
     /// A [`ModelSession`] over this accelerator: caches **compiled
     /// whole models** per name so repeated inference never re-runs any
     /// weight-side quantization.
@@ -188,17 +183,6 @@ impl Mirage {
     /// tiling is invalid for this accelerator's BFP operating point.
     pub fn model_session_with(&self, config: TileConfig) -> TensorResult<ModelSession> {
         ModelSession::with_tile_config(self, config)
-    }
-
-    /// Like [`Mirage::inference_session`] with an explicit
-    /// [`TileConfig`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`mirage_tensor::TensorError::InvalidGeometry`] when the
-    /// tiling is invalid for this accelerator's BFP operating point.
-    pub fn inference_session_with(&self, config: TileConfig) -> TensorResult<InferenceSession> {
-        InferenceSession::with_tile_config(self, config)
     }
 
     /// The RNS-faithful GEMM engine (routes every group dot product
@@ -381,7 +365,7 @@ mod tests {
         let mut config = TileConfig::auto();
         config.tile_k = 24; // g = 16: would move group boundaries
         assert!(mirage.parallel_gemm_engine_with(config).is_err());
-        assert!(mirage.inference_session_with(config).is_err());
+        assert!(mirage.model_session_with(config).is_err());
         config.tile_k = 32; // multiple of g: allowed
         assert!(mirage.parallel_gemm_engine_with(config).is_ok());
         config.tile_k = 0; // never split: allowed

@@ -11,11 +11,8 @@
 //!   the *device-level* photonic simulator (phase accumulation, phase
 //!   detection, reverse conversion), bit-identical to the fast BFP
 //!   engine when noise is off.
-//! - [`InferenceSession`] — serving-oriented inference with prepared
-//!   weights cached per layer, so repeated requests against static
-//!   weights never re-run the quantizer.
-//! - [`ModelSession`] / [`Mirage::compile`] — the same idea for whole
-//!   networks: a `Sequential` is frozen once into an immutable compiled
+//! - [`ModelSession`] / [`Mirage::compile`] — serving-oriented
+//!   inference: a `Sequential` is frozen once into an immutable compiled
 //!   execution plan (`mirage_nn::CompiledNetwork`) and served lock-free
 //!   from any number of threads, bit-identically to the eager forward
 //!   pass, with zero weight-side quantization per request.
@@ -62,4 +59,4 @@ pub use accelerator::Mirage;
 pub use dataflow::{StepTrace, TiledMvm};
 pub use photonic_gemm::PhotonicGemmEngine;
 pub use serve::{BatchMode, ModelServer, ServeError, ServerConfig, ServerStats};
-pub use session::{InferenceSession, ModelSession};
+pub use session::ModelSession;

@@ -3,7 +3,7 @@
 use mirage_arch::MirageConfig;
 use mirage_bfp::{pow2, BfpConfig, PackedBfpMatrix};
 use mirage_photonics::RnsMmvmu;
-use mirage_tensor::engines::{BfpEngine, GemmEngine, PreparedRhs};
+use mirage_tensor::engines::{gemm_raw_into, BfpEngine, Epilogue, GemmEngine, PreparedRhs};
 use mirage_tensor::{Result, Tensor, TensorError};
 use std::sync::Arc;
 
@@ -51,15 +51,13 @@ impl PackedStreamedCols {
     }
 }
 
-/// Prepared B-side state: the packed streamed operand plus a column
-/// range, so the tiled parallel driver can hand workers views of one
-/// shared buffer (see `mirage_tensor::engines::GemmEngine::prepare_tile`).
+/// Prepared B-side state: the packed streamed operand. Column tiles are
+/// windows of the [`PreparedRhs`] holding it (`PreparedRhs::cols`), so
+/// the tiled parallel driver hands workers views of one shared buffer.
 #[derive(Debug)]
 struct PreparedPhotonicCols {
     bfp: BfpConfig,
-    packed: Arc<PackedStreamedCols>,
-    col_start: usize,
-    col_count: usize,
+    packed: PackedStreamedCols,
 }
 
 /// Quantizes, packs and widens the columns of `B` for streaming.
@@ -109,25 +107,10 @@ impl PhotonicGemmEngine {
 
     /// The shared GEMM kernel: programs stationary tiles from the
     /// packed rows of `A` and streams an already-packed column range of
-    /// `B` through the simulated MMVMUs. The per-tile weight staging
-    /// buffer is reused across every tile and group — the only
-    /// steady-state cost is the `i32 → i64` widening the device
-    /// interface requires.
-    fn gemm_with_packed(
-        &self,
-        a: &Tensor,
-        cols: &PackedStreamedCols,
-        col_start: usize,
-        n: usize,
-    ) -> Result<Tensor> {
-        let mut out = Vec::new();
-        let m = self.gemm_with_packed_into(a, cols, col_start, n, &mut out)?;
-        Tensor::from_vec(out, &[m, n])
-    }
-
-    /// [`PhotonicGemmEngine::gemm_with_packed`] writing into a caller
-    /// buffer — the allocation-free entry point behind
-    /// [`GemmEngine::gemm_prepared_into`]. Returns `m`.
+    /// `B` through the simulated MMVMUs, writing into a caller buffer.
+    /// The per-tile weight staging buffer is reused across every tile
+    /// and group — the only steady-state cost is the `i32 → i64`
+    /// widening the device interface requires. Returns `m`.
     fn gemm_with_packed_into(
         &self,
         a: &Tensor,
@@ -204,83 +187,42 @@ impl GemmEngine for PhotonicGemmEngine {
     fn gemm(&self, a: &Tensor, b: &Tensor) -> Result<Tensor> {
         let (_m, _k, n) = dims(a, b)?;
         let cols = stream_cols(b, self.bfp)?;
-        self.gemm_with_packed(a, &cols, 0, n)
+        let mut out = Vec::new();
+        let m = self.gemm_with_packed_into(a, &cols, 0, n, &mut out)?;
+        Tensor::from_vec(out, &[m, n])
     }
 
     /// Quantizes, packs and widens the streamed operand once; repeated
     /// calls only quantize the stationary side.
     fn prepare(&self, b: &Tensor) -> Result<PreparedRhs> {
         let prepared = PreparedRhs::from_raw(self.name(), b)?;
-        let n = prepared.n();
-        let cols = stream_cols(b, self.bfp)?;
+        let packed = stream_cols(b, self.bfp)?;
         Ok(prepared.with_state(Arc::new(PreparedPhotonicCols {
             bfp: self.bfp,
-            packed: Arc::new(cols),
-            col_start: 0,
-            col_count: n,
+            packed,
         })))
     }
 
-    /// Slices a column tile out of an existing preparation: the tile
-    /// shares the packed streamed buffer through the `Arc`, so the
-    /// tiled parallel driver never re-quantizes B per column tile.
-    fn prepare_tile(
-        &self,
-        whole: &PreparedRhs,
-        c0: usize,
-        width: usize,
-    ) -> Result<Option<PreparedRhs>> {
-        let Some(state) = whole.state_for::<PreparedPhotonicCols>(self.name()) else {
-            return Ok(None);
-        };
-        if state.bfp != self.bfp || c0 + width > state.col_count {
-            return Ok(None);
-        }
-        let raw = whole.slice_raw_cols(c0, width)?;
-        Ok(Some(PreparedRhs::from_raw(self.name(), &raw)?.with_state(
-            Arc::new(PreparedPhotonicCols {
-                bfp: state.bfp,
-                packed: Arc::clone(&state.packed),
-                col_start: state.col_start + c0,
-                col_count: width,
-            }),
-        )))
-    }
-
-    /// Reuses the pre-packed streamed columns; falls back to
+    /// Streams the pre-packed columns through the simulated device,
+    /// writing straight into the caller's buffer, then applies the
+    /// epilogue in one pass. Falls back to
     /// [`PhotonicGemmEngine::gemm`] on preparations from other engines
     /// or other BFP operating points.
-    fn gemm_prepared(&self, a: &Tensor, b: &PreparedRhs) -> Result<Tensor> {
-        let (_m, _k, n) = dims(a, b.raw())?;
-        match b.state_for::<PreparedPhotonicCols>(self.name()) {
-            Some(state) if state.bfp == self.bfp && state.col_count == n => {
-                self.gemm_with_packed(a, &state.packed, state.col_start, n)
-            }
-            _ => self.gemm(a, b.raw()),
-        }
-    }
-
-    /// The simulated device kernel writes straight into the caller's
-    /// buffer — bit-identical to [`PhotonicGemmEngine::gemm_prepared`].
-    fn gemm_prepared_into(
+    fn gemm_prepared_epilogue_into(
         &self,
         a: &Tensor,
         b: &PreparedRhs,
+        epilogue: &Epilogue<'_>,
         out: &mut Vec<f32>,
     ) -> Result<(usize, usize)> {
-        let (_m, _k, n) = dims(a, b.raw())?;
         match b.state_for::<PreparedPhotonicCols>(self.name()) {
-            Some(state) if state.bfp == self.bfp && state.col_count == n => {
-                let m = self.gemm_with_packed_into(a, &state.packed, state.col_start, n, out)?;
+            Some(state) if state.bfp == self.bfp => {
+                let (_m, _k, n) = dims(a, b.raw())?;
+                let m = self.gemm_with_packed_into(a, &state.packed, b.col_start(), n, out)?;
+                epilogue.apply(out, m, n)?;
                 Ok((m, n))
             }
-            _ => {
-                let y = self.gemm(a, b.raw())?;
-                let m = y.shape()[0];
-                out.clear();
-                out.extend_from_slice(y.data());
-                Ok((m, n))
-            }
+            _ => gemm_raw_into(self, a, b, epilogue, out),
         }
     }
 }

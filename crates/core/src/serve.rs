@@ -116,13 +116,14 @@ use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Locks a server mutex, recovering from poisoning: the guarded state
-/// is only mutated through operations that keep it structurally valid,
-/// and the worker loop catches request panics before they can unwind
-/// through the lock, so continuing on the intact state is always safe
-/// (the serving path is panic-free by contract; see `mirage-lint`'s
+/// Locks a server or session mutex, recovering from poisoning: the
+/// guarded state is only mutated through operations that keep it
+/// structurally valid (single `HashMap`/queue operations), and the
+/// worker loop catches request panics before they can unwind through
+/// the lock, so continuing on the intact state is always safe (the
+/// serving path is panic-free by contract; see `mirage-lint`'s
 /// `panic-in-serving` rule).
-fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 

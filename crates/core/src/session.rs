@@ -1,210 +1,22 @@
-//! Serving-oriented inference sessions: cached prepared weights
-//! ([`InferenceSession`]) and cached compiled whole models
+//! Serving-oriented model sessions: cached compiled whole models
 //! ([`ModelSession`]).
 
 use crate::accelerator::Mirage;
+use crate::serve::lock_recover;
 use mirage_nn::shard::{ShardPlan, ShardSpec};
 use mirage_nn::{CompiledNetwork, Engines, Sequential};
-use mirage_tensor::engines::BfpEngine;
-use mirage_tensor::parallel::{ParallelGemm, TileConfig};
+use mirage_tensor::parallel::TileConfig;
 use mirage_tensor::scratch::ActivationScratch;
-use mirage_tensor::{GemmEngine, PreparedRhs, Result, Tensor, TensorError};
+use mirage_tensor::{Result, Tensor, TensorError};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-
-/// Locks a session cache map, recovering it from a poisoned mutex.
-///
-/// The guarded maps are only ever mutated through single `HashMap`
-/// operations that keep them structurally valid, so a panic on another
-/// request thread cannot leave partial state behind — serving continues
-/// on the intact map instead of cascading the panic (the serving path
-/// is panic-free by contract; see `mirage-lint`'s `panic-in-serving`
-/// rule).
-fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// An inference session over the Mirage arithmetic that quantizes each
-/// weight matrix **once** and reuses the preparation for every
-/// subsequent request — the serving model behind the paper's Table III
-/// workloads (batch 1–128 inference against static weights), where
-/// weight preparation must be a one-time cost, not a per-call one.
-///
-/// Weights are keyed per layer: [`InferenceSession::load`] runs the
-/// quantizer, and [`InferenceSession::infer`] /
-/// [`InferenceSession::infer_batch`] only touch the activation side.
-/// Results are bit-identical to the unprepared
-/// [`Mirage::gemm_engine`] path — the preparation is a caching
-/// transformation, never a numerical one.
-///
-/// The session is `Sync`: the cache sits behind a mutex that is held
-/// only for lookups/insertions (never during a GEMM), so concurrent
-/// request threads can serve from one session.
-///
-/// ```
-/// use mirage_core::Mirage;
-/// use mirage_tensor::{Tensor, GemmEngine};
-///
-/// let mirage = Mirage::paper_default();
-/// let session = mirage.inference_session();
-/// let weight = Tensor::full(&[32, 8], 0.5);
-/// session.load("fc1", &weight)?; // quantize once…
-/// for _ in 0..3 {
-///     let x = Tensor::full(&[4, 32], 0.25);
-///     let y = session.infer("fc1", &x)?; // …serve many times
-///     assert_eq!(y.data(), mirage.gemm_engine().gemm(&x, &weight)?.data());
-/// }
-/// # Ok::<(), mirage_tensor::TensorError>(())
-/// ```
-#[derive(Debug)]
-pub struct InferenceSession {
-    engine: ParallelGemm<BfpEngine>,
-    cache: Mutex<HashMap<String, Arc<PreparedRhs>>>,
-}
-
-impl InferenceSession {
-    /// Builds a session over the accelerator's parallel BFP engine with
-    /// the automatic tile/thread heuristic.
-    pub fn new(mirage: &Mirage) -> Self {
-        InferenceSession {
-            engine: mirage.parallel_gemm_engine(),
-            cache: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// Builds a session with an explicit [`TileConfig`] (pin thread
-    /// counts in benchmarks, force serial execution in baselines).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidGeometry`] when the tiling is
-    /// invalid for the accelerator's BFP operating point (see
-    /// [`TileConfig::validate`]).
-    pub fn with_tile_config(mirage: &Mirage, config: TileConfig) -> Result<Self> {
-        Ok(InferenceSession {
-            engine: mirage.parallel_gemm_engine_with(config)?,
-            cache: Mutex::new(HashMap::new()),
-        })
-    }
-
-    /// Prepares (quantizes) a weight matrix and caches it under `layer`,
-    /// replacing any previous weight for that key. This is the only
-    /// session operation that runs the quantizer on the weight side.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] unless the weight is a
-    /// rank-2 matrix.
-    pub fn load(&self, layer: impl Into<String>, weight: &Tensor) -> Result<()> {
-        let prepared = Arc::new(self.engine.prepare(weight)?);
-        lock_recover(&self.cache).insert(layer.into(), prepared);
-        Ok(())
-    }
-
-    /// The cached preparation for `layer`, if loaded.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::UnknownLayer`] naming the missing key when
-    /// nothing is loaded under it.
-    fn cached(&self, layer: &str) -> Result<Arc<PreparedRhs>> {
-        lock_recover(&self.cache)
-            .get(layer)
-            .cloned()
-            .ok_or_else(|| TensorError::UnknownLayer {
-                name: layer.to_string(),
-            })
-    }
-
-    /// One inference GEMM `x · W` against the cached weight for `layer`.
-    /// Only the activation side touches the quantizer; bit-identical to
-    /// `Mirage::gemm_engine().gemm(x, weight)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::UnknownLayer`] when `layer` has no loaded
-    /// weight, and the usual shape-validation errors.
-    pub fn infer(&self, layer: &str, x: &Tensor) -> Result<Tensor> {
-        let prepared = self.cached(layer)?;
-        self.engine.gemm_prepared(x, &prepared)
-    }
-
-    /// Batched inference against the cached weight for `layer`: the
-    /// whole batch runs inside one thread scope (see
-    /// [`ParallelGemm::gemm_batch_prepared`]), and — unlike
-    /// [`Mirage::infer_batch`] — repeated batches never re-prepare the
-    /// weight.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::UnknownLayer`] when `layer` has no loaded
-    /// weight; propagates per-item shape errors (the whole batch fails
-    /// if any item does).
-    pub fn infer_batch(&self, layer: &str, inputs: &[Tensor]) -> Result<Vec<Tensor>> {
-        let prepared = self.cached(layer)?;
-        self.engine.gemm_batch_prepared(inputs, &prepared)
-    }
-
-    /// Convenience for serving loops that carry the weight alongside the
-    /// activations: uses the cached preparation when `layer` is already
-    /// loaded, preparing and caching it on first use. The session models
-    /// **static** weights — passing a weight whose shape differs from
-    /// the cached one is an error (reload explicitly via
-    /// [`InferenceSession::load`] to update a weight).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when `weight`'s shape
-    /// disagrees with the cached preparation for `layer`, plus the usual
-    /// shape-validation errors.
-    pub fn infer_with(&self, layer: &str, x: &Tensor, weight: &Tensor) -> Result<Tensor> {
-        if let Ok(prepared) = self.cached(layer) {
-            if prepared.raw().shape() != weight.shape() {
-                return Err(TensorError::ShapeMismatch {
-                    left: prepared.raw().shape().to_vec(),
-                    right: weight.shape().to_vec(),
-                });
-            }
-            return self.engine.gemm_prepared(x, &prepared);
-        }
-        self.load(layer, weight)?;
-        self.infer(layer, x)
-    }
-
-    /// Whether a weight is loaded under `layer`.
-    pub fn contains(&self, layer: &str) -> bool {
-        lock_recover(&self.cache).contains_key(layer)
-    }
-
-    /// Number of cached layer weights.
-    pub fn len(&self) -> usize {
-        lock_recover(&self.cache).len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops the cached weight for `layer`, returning whether one was
-    /// present.
-    pub fn evict(&self, layer: &str) -> bool {
-        lock_recover(&self.cache).remove(layer).is_some()
-    }
-
-    /// Drops every cached weight.
-    pub fn clear(&self) {
-        lock_recover(&self.cache).clear();
-    }
-}
+use std::sync::{Arc, Mutex};
 
 /// A serving session for **whole models** over the Mirage arithmetic:
 /// [`ModelSession::load`] compiles a [`Sequential`] network once — every
 /// GEMM weight transposed and quantized exactly once, via
 /// [`Sequential::compile`] — and [`ModelSession::run`] /
 /// [`ModelSession::run_batch`] serve it forever after with zero
-/// weight-side quantization. This is [`InferenceSession`] lifted from
-/// single GEMMs to networks: the serving model behind the paper's
+/// weight-side quantization: the serving model behind the paper's
 /// Table III workloads, end to end.
 ///
 /// Results are **bit-identical** to the eager
@@ -426,131 +238,6 @@ impl ModelSession {
     /// Drops every cached model.
     pub fn clear(&self) {
         lock_recover(&self.models).clear();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rand::SeedableRng;
-
-    fn session() -> (Mirage, InferenceSession) {
-        let mirage = Mirage::paper_default();
-        let session = mirage.inference_session();
-        (mirage, session)
-    }
-
-    #[test]
-    fn infer_is_bit_identical_to_unprepared_engine() {
-        let (mirage, session) = session();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(200);
-        let weight = Tensor::randn(&[48, 12], 1.0, &mut rng);
-        session.load("fc", &weight).unwrap();
-        let serial = mirage.gemm_engine();
-        for _ in 0..3 {
-            let x = Tensor::randn(&[9, 48], 1.0, &mut rng);
-            assert_eq!(
-                session.infer("fc", &x).unwrap().data(),
-                serial.gemm(&x, &weight).unwrap().data()
-            );
-        }
-    }
-
-    #[test]
-    fn infer_batch_matches_mirage_infer_batch() {
-        let (mirage, session) = session();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(201);
-        let weight = Tensor::randn(&[32, 8], 1.0, &mut rng);
-        session.load("fc", &weight).unwrap();
-        let inputs: Vec<Tensor> = (0..5)
-            .map(|_| Tensor::randn(&[6, 32], 1.0, &mut rng))
-            .collect();
-        let cached = session.infer_batch("fc", &inputs).unwrap();
-        let direct = mirage.infer_batch(&inputs, &weight).unwrap();
-        for (c, d) in cached.iter().zip(&direct) {
-            assert_eq!(c.data(), d.data());
-        }
-        // Empty batches are well-formed.
-        assert!(session.infer_batch("fc", &[]).unwrap().is_empty());
-    }
-
-    #[test]
-    fn missing_layer_is_a_dedicated_error_naming_the_key() {
-        let (_mirage, session) = session();
-        let err = session
-            .infer("absent", &Tensor::zeros(&[2, 2]))
-            .unwrap_err();
-        assert!(
-            matches!(&err, TensorError::UnknownLayer { name } if name == "absent"),
-            "{err:?}"
-        );
-        assert!(err.to_string().contains("absent"), "{err}");
-        assert!(matches!(
-            session.infer_batch("gone", &[]).unwrap_err(),
-            TensorError::UnknownLayer { .. }
-        ));
-    }
-
-    #[test]
-    fn infer_with_caches_on_first_use_and_pins_shape() {
-        let (mirage, session) = session();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(202);
-        let weight = Tensor::randn(&[24, 6], 1.0, &mut rng);
-        let x = Tensor::randn(&[4, 24], 1.0, &mut rng);
-        assert!(session.is_empty());
-        let y = session.infer_with("fc", &x, &weight).unwrap();
-        assert_eq!(session.len(), 1);
-        assert_eq!(
-            y.data(),
-            mirage.gemm_engine().gemm(&x, &weight).unwrap().data()
-        );
-        // Same key, same shape: served from cache.
-        session.infer_with("fc", &x, &weight).unwrap();
-        // Same key, different shape: refused, not silently requantized.
-        assert!(matches!(
-            session.infer_with("fc", &x, &Tensor::zeros(&[24, 7])),
-            Err(TensorError::ShapeMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn load_replaces_and_evict_removes() {
-        let (mirage, session) = session();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(203);
-        let w1 = Tensor::randn(&[16, 4], 1.0, &mut rng);
-        let w2 = Tensor::randn(&[16, 4], 1.0, &mut rng);
-        let x = Tensor::randn(&[3, 16], 1.0, &mut rng);
-        session.load("fc", &w1).unwrap();
-        session.load("fc", &w2).unwrap(); // weight update
-        assert_eq!(
-            session.infer("fc", &x).unwrap().data(),
-            mirage.gemm_engine().gemm(&x, &w2).unwrap().data()
-        );
-        assert!(session.evict("fc"));
-        assert!(!session.evict("fc"));
-        assert!(!session.contains("fc"));
-        session.load("a", &w1).unwrap();
-        session.load("b", &w2).unwrap();
-        session.clear();
-        assert!(session.is_empty());
-    }
-
-    #[test]
-    fn explicit_tile_config_is_validated() {
-        let mirage = Mirage::paper_default();
-        let mut bad = TileConfig::auto();
-        bad.tile_k = 24; // not a multiple of g = 16
-        assert!(InferenceSession::with_tile_config(&mirage, bad).is_err());
-        let session = InferenceSession::with_tile_config(&mirage, TileConfig::serial()).unwrap();
-        let weight = Tensor::full(&[16, 4], 0.5);
-        session.load("fc", &weight).unwrap();
-        assert_eq!(
-            session
-                .infer("fc", &Tensor::ones(&[2, 16]))
-                .unwrap()
-                .shape(),
-            &[2, 4]
-        );
     }
 }
 

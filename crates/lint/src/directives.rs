@@ -18,11 +18,10 @@
 use crate::lexer::Comment;
 
 /// The waiver keys accepted by `allow(...)`, one per enforceable rule.
-pub const WAIVER_KEYS: [&str; 6] = [
+pub const WAIVER_KEYS: [&str; 5] = [
     "float_ok",
     "alloc_ok",
     "panic_ok",
-    "contract_ok",
     "hygiene_ok",
     "unsafe_ok",
 ];

@@ -30,15 +30,12 @@
 //! 3. **`panic-in-serving`** — `.unwrap()`, `.expect()`, `panic!`, and
 //!    the `assert!` family are banned in non-test code of the serving
 //!    modules ([`rules::SERVING_MODULES`]); `debug_assert!` stays legal.
-//! 4. **`engine-contract`** — an `impl GemmEngine` that overrides
-//!    `prepare` must also override `gemm_prepared`,
-//!    `gemm_prepared_into`, and `prepare_tile`.
-//! 5. **`crate-hygiene`** — every crate root carries the workspace's
+//! 4. **`crate-hygiene`** — every crate root carries the workspace's
 //!    standard attribute block ([`rules::REQUIRED_CRATE_ATTRS`]);
 //!    `#![deny(unsafe_code)]` is accepted in place of `forbid` so the
 //!    SIMD kernel crates can open confined `#![allow(unsafe_code)]`
 //!    scopes.
-//! 6. **`unsafe-confined`** — `unsafe` appears only in the allowlisted
+//! 5. **`unsafe-confined`** — `unsafe` appears only in the allowlisted
 //!    SIMD kernel modules ([`rules::UNSAFE_KERNEL_MODULES`]), and every
 //!    unsafe line there carries a `SAFETY:` justification comment.
 //!

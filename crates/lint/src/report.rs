@@ -11,12 +11,9 @@ pub enum Rule {
     AllocInNoAlloc,
     /// Rule 3: no panicking calls in the serving modules.
     PanicInServing,
-    /// Rule 4: engines overriding `prepare` must override the whole
-    /// prepared-path surface.
-    EngineContract,
-    /// Rule 5: crate roots carry the standard forbid/deny block.
+    /// Rule 4: crate roots carry the standard forbid/deny block.
     CrateHygiene,
-    /// Rule 6: `unsafe` appears only in the allowlisted SIMD kernel
+    /// Rule 5: `unsafe` appears only in the allowlisted SIMD kernel
     /// modules, and every unsafe line there carries a `SAFETY:` comment.
     UnsafeConfined,
     /// Malformed or unpaired `mirage-lint:` directives.
@@ -30,7 +27,6 @@ impl Rule {
             Rule::FloatInKernel => "float-in-kernel",
             Rule::AllocInNoAlloc => "alloc-in-no-alloc",
             Rule::PanicInServing => "panic-in-serving",
-            Rule::EngineContract => "engine-contract",
             Rule::CrateHygiene => "crate-hygiene",
             Rule::UnsafeConfined => "unsafe-confined",
             Rule::Directive => "directive",
@@ -43,7 +39,6 @@ impl Rule {
             Rule::FloatInKernel => Some("float_ok"),
             Rule::AllocInNoAlloc => Some("alloc_ok"),
             Rule::PanicInServing => Some("panic_ok"),
-            Rule::EngineContract => Some("contract_ok"),
             Rule::CrateHygiene => Some("hygiene_ok"),
             Rule::UnsafeConfined => Some("unsafe_ok"),
             Rule::Directive => None,

@@ -1,11 +1,10 @@
-//! The six workspace rules, applied to one file at a time.
+//! The five workspace rules, applied to one file at a time.
 //!
 //! | rule | trigger | scope |
 //! |------|---------|-------|
 //! | `float-in-kernel` | `f32`/`f64` idents, float literals, float-returning std method calls | `region(int_kernel)` regions |
 //! | `alloc-in-no-alloc` | `Vec::new`/`with_capacity`, `Box::new`, `String::from`, `.push/.collect/.to_vec/.to_owned/.clone`, `format!`, `vec!` | functions marked `no_alloc` |
 //! | `panic-in-serving` | `.unwrap()`, `.expect()`, `panic!`, `assert!`/`assert_eq!`/`assert_ne!`, `todo!`, `unimplemented!`, `unreachable!` (`debug_assert!` stays legal) | non-test code of the serving modules |
-//! | `engine-contract` | `impl … GemmEngine` overriding `prepare` without `gemm_prepared` + `gemm_prepared_into` + `prepare_tile` | every file |
 //! | `crate-hygiene` | missing `#![forbid(unsafe_code)]` (or `#![deny(unsafe_code)]`) / standard deny set | crate roots |
 //! | `unsafe-confined` | any `unsafe` token outside [`UNSAFE_KERNEL_MODULES`], or one inside them without a nearby `SAFETY:` comment | every file |
 //!
@@ -30,7 +29,7 @@ pub const SERVING_MODULES: [&str; 8] = [
     "crates/tensor/src/engines/epilogue.rs",
 ];
 
-/// The standard crate-root attribute block rule 5 requires, in the
+/// The standard crate-root attribute block rule 4 requires, in the
 /// normalized (whitespace-free) form the scanner produces.
 pub const REQUIRED_CRATE_ATTRS: [&str; 3] = [
     "#![forbid(unsafe_code)]",
@@ -38,7 +37,7 @@ pub const REQUIRED_CRATE_ATTRS: [&str; 3] = [
     "#![deny(unused_must_use)]",
 ];
 
-/// The only modules allowed to contain `unsafe` (rule 6): the explicit
+/// The only modules allowed to contain `unsafe` (rule 5): the explicit
 /// SIMD kernels, which need `core::arch` intrinsics. Crates hosting one
 /// of these demote `forbid(unsafe_code)` to `deny(unsafe_code)` at the
 /// root (a command-line `forbid` cannot be re-allowed module-locally),
@@ -102,7 +101,7 @@ const PANIC_MACROS: [&str; 7] = [
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FileClass {
     /// The file is a crate root (`src/lib.rs` of a workspace member):
-    /// rule 5 applies.
+    /// rule 4 applies.
     pub crate_root: bool,
     /// The file is a serving module: rule 3 applies.
     pub serving: bool,
@@ -134,7 +133,6 @@ pub fn lint_source(rel: &str, source: &str, class: FileClass) -> Vec<Finding> {
     if class.serving {
         panic_in_serving(rel, &lexed.tokens, &info, &mut findings);
     }
-    engine_contract(rel, &info, &mut findings);
     if class.crate_root {
         crate_hygiene(rel, &info, &mut findings);
     }
@@ -381,48 +379,11 @@ fn panic_in_serving(rel: &str, tokens: &[Token], info: &ScanInfo, findings: &mut
     }
 }
 
-/// Rule 4: any `GemmEngine` impl overriding `prepare` must override the
-/// whole prepared surface, or prepared state silently degrades (a tile
-/// or an `_into` call would fall back to default re-quantization).
-fn engine_contract(rel: &str, info: &ScanInfo, findings: &mut Vec<Finding>) {
-    const REQUIRED: [&str; 3] = ["gemm_prepared", "gemm_prepared_into", "prepare_tile"];
-    for imp in &info.impls {
-        if !imp.trait_idents.iter().any(|t| t == "GemmEngine")
-            || info.in_test_code(imp.impl_token)
-            || !imp.methods.iter().any(|m| m == "prepare")
-        {
-            continue;
-        }
-        let missing: Vec<&str> = REQUIRED
-            .iter()
-            .copied()
-            .filter(|r| !imp.methods.iter().any(|m| m == r))
-            .collect();
-        if !missing.is_empty() {
-            findings.push(Finding::new(
-                rel,
-                imp.line,
-                Rule::EngineContract,
-                format!(
-                    "`impl GemmEngine for {}` overrides `prepare` but not {} — \
-                     prepared state would silently degrade on those paths",
-                    imp.type_name,
-                    missing
-                        .iter()
-                        .map(|m| format!("`{m}`"))
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ),
-            ));
-        }
-    }
-}
-
-/// Rule 5: crate roots carry the standard forbid/deny block. For the
+/// Rule 4: crate roots carry the standard forbid/deny block. For the
 /// unsafe-code attribute specifically, `#![deny(unsafe_code)]` is an
 /// accepted alternative to `forbid`: crates hosting an allowlisted SIMD
 /// kernel module must use `deny` so that module can open a local
-/// `#![allow(unsafe_code)]` scope, and rule 6 (`unsafe-confined`)
+/// `#![allow(unsafe_code)]` scope, and rule 5 (`unsafe-confined`)
 /// guarantees the demotion cannot leak `unsafe` anywhere else.
 fn crate_hygiene(rel: &str, info: &ScanInfo, findings: &mut Vec<Finding>) {
     const UNSAFE_ALTERNATIVES: [&str; 2] = ["#![forbid(unsafe_code)]", "#![deny(unsafe_code)]"];
@@ -445,7 +406,7 @@ fn crate_hygiene(rel: &str, info: &ScanInfo, findings: &mut Vec<Finding>) {
     }
 }
 
-/// Rule 6: `unsafe` is confined to the allowlisted SIMD kernel modules
+/// Rule 5: `unsafe` is confined to the allowlisted SIMD kernel modules
 /// ([`UNSAFE_KERNEL_MODULES`]), and every line using it there must be
 /// justified — by a `// SAFETY:` comment (trailing on the same line or
 /// standing within [`SAFETY_COMMENT_REACH`] lines above), or, for
@@ -503,7 +464,7 @@ fn unsafe_confined(rel: &str, tokens: &[Token], comments: &[Comment], findings: 
 /// Marks findings covered by a reasoned `allow(...)` directive as
 /// waived. Waivers are line-scoped: a trailing directive covers its own
 /// line, a standalone one covers the next code line. `hygiene_ok` alone
-/// is file-scoped, since rule 5 findings anchor to the file itself.
+/// is file-scoped, since rule 4 findings anchor to the file itself.
 fn apply_waivers(tokens: &[Token], directives: &[Directive], findings: &mut [Finding]) {
     struct Waiver<'a> {
         key: &'a str,

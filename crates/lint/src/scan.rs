@@ -2,9 +2,8 @@
 //!
 //! This is not a parser — it recovers just enough structure for the
 //! rules: which token ranges are test-only code (`#[cfg(test)]` /
-//! `#[test]` items), where each `fn`'s body starts and ends, which
-//! `impl … GemmEngine for …` blocks exist and which methods they
-//! define, and which inner attributes (`#![…]`) the file opens with.
+//! `#[test]` items), where each `fn`'s body starts and ends, and which
+//! inner attributes (`#![…]`) the file opens with.
 
 use crate::lexer::{Token, TokenKind};
 
@@ -22,21 +21,6 @@ pub struct FnInfo {
     pub body: (usize, usize),
 }
 
-/// One `impl Trait for Type` block.
-#[derive(Debug, Clone)]
-pub struct ImplInfo {
-    /// Idents appearing in the trait path (between generics and `for`).
-    pub trait_idents: Vec<String>,
-    /// Rendering of the implementing type (idents joined), for messages.
-    pub type_name: String,
-    /// Token index of the `impl` keyword.
-    pub impl_token: usize,
-    /// 1-based line of the `impl` keyword.
-    pub line: u32,
-    /// Names of the methods (`fn` items) defined directly in the block.
-    pub methods: Vec<String>,
-}
-
 /// Structural facts recovered from one file.
 #[derive(Debug, Default)]
 pub struct ScanInfo {
@@ -44,8 +28,6 @@ pub struct ScanInfo {
     pub test_spans: Vec<(usize, usize)>,
     /// Every `fn` item in the file (test code included; rules filter).
     pub fns: Vec<FnInfo>,
-    /// Every trait impl block in the file.
-    pub impls: Vec<ImplInfo>,
     /// Inner attributes at the top of the file, normalized to a
     /// whitespace-free string such as `#![forbid(unsafe_code)]`.
     pub inner_attrs: Vec<String>,
@@ -82,14 +64,6 @@ pub fn scan(tokens: &[Token]) -> ScanInfo {
                 } else {
                     i += 1;
                 }
-            }
-            "impl" if tokens[i].kind == TokenKind::Ident => {
-                let (imp, next) = scan_impl(tokens, i);
-                if let Some(imp) = imp {
-                    info.impls.push(imp);
-                }
-                // Do not skip the body: nested fns must still be seen.
-                i = next;
             }
             _ => i += 1,
         }
@@ -235,99 +209,6 @@ fn match_braces(tokens: &[Token], open: usize) -> usize {
     tokens.len()
 }
 
-/// Scans one `impl` item. Returns the impl (when it is a trait impl)
-/// and the token index to resume scanning from (just past the opening
-/// `{`, so nested items are still visited).
-fn scan_impl(tokens: &[Token], i: usize) -> (Option<ImplInfo>, usize) {
-    let mut j = i + 1;
-    // Skip generic parameters, tolerating `->` inside bounds.
-    if tokens.get(j).is_some_and(|t| t.text == "<") {
-        let mut depth = 0isize;
-        while j < tokens.len() {
-            match tokens[j].text.as_str() {
-                "<" => depth += 1,
-                ">" if j > 0 && tokens[j - 1].text == "-" => {}
-                ">" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        j += 1;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-    }
-    // Header tokens up to the body `{` (or `;`).
-    let header_start = j;
-    let mut body_open = None;
-    let mut angle = 0isize;
-    while j < tokens.len() {
-        match tokens[j].text.as_str() {
-            "<" => angle += 1,
-            ">" if j > 0 && tokens[j - 1].text == "-" => {}
-            ">" => angle -= 1,
-            "{" if angle <= 0 => {
-                body_open = Some(j);
-                break;
-            }
-            ";" if angle <= 0 => break,
-            _ => {}
-        }
-        j += 1;
-    }
-    let Some(open) = body_open else {
-        return (None, j + 1);
-    };
-    let header = &tokens[header_start..open];
-    let Some(for_pos) = header.iter().position(|t| t.text == "for") else {
-        // Inherent impl: no trait to check.
-        return (None, open + 1);
-    };
-    let trait_idents: Vec<String> = header[..for_pos]
-        .iter()
-        .filter(|t| t.kind == TokenKind::Ident)
-        .map(|t| t.text.clone())
-        .collect();
-    let type_name: String = header[for_pos + 1..]
-        .iter()
-        .filter(|t| t.kind == TokenKind::Ident)
-        .map(|t| t.text.as_str())
-        .collect::<Vec<_>>()
-        .join("::");
-    // Collect direct methods: `fn` idents at brace depth 1.
-    let close = match_braces(tokens, open);
-    let mut methods = Vec::new();
-    let mut depth = 0usize;
-    let mut k = open;
-    while k < close.min(tokens.len()) {
-        match tokens[k].text.as_str() {
-            "{" => depth += 1,
-            "}" => depth -= 1,
-            "fn" if depth == 1 && tokens[k].kind == TokenKind::Ident => {
-                if let Some(name) = tokens.get(k + 1) {
-                    if name.kind == TokenKind::Ident {
-                        methods.push(name.text.clone());
-                    }
-                }
-            }
-            _ => {}
-        }
-        k += 1;
-    }
-    (
-        Some(ImplInfo {
-            trait_idents,
-            type_name,
-            impl_token: i,
-            line: tokens[i].line,
-            methods,
-        }),
-        open + 1,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,25 +257,13 @@ mod tests {
     }
 
     #[test]
-    fn trait_impls_and_methods_are_found() {
-        let src = "impl<E: GemmEngine + ?Sized> GemmEngine for std::sync::Arc<E> {\n\
-                   fn prepare(&self) {}\nfn gemm_prepared(&self) { fn nested() {} }\n}";
-        let lexed = lex(src);
-        let info = scan(&lexed.tokens);
-        assert_eq!(info.impls.len(), 1);
-        let imp = &info.impls[0];
-        assert!(imp.trait_idents.contains(&"GemmEngine".to_string()));
-        assert_eq!(imp.methods, vec!["prepare", "gemm_prepared"]);
-        assert!(imp.type_name.contains("Arc"));
-    }
-
-    #[test]
-    fn inherent_impls_are_skipped_but_their_fns_seen() {
-        let src = "impl Foo {\nfn helper() {}\n}";
-        let lexed = lex(src);
-        let info = scan(&lexed.tokens);
-        assert!(info.impls.is_empty());
-        assert_eq!(info.fns.len(), 1);
+    fn fns_inside_impl_blocks_are_seen() {
+        let src = "impl Foo {\nfn helper() {}\n}\n\
+                   impl<E: Engine + ?Sized> Engine for std::sync::Arc<E> {\n\
+                   fn prepare(&self) {}\n}";
+        let info = scan(&lex(src).tokens);
+        let names: Vec<&str> = info.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["helper", "prepare"]);
     }
 
     #[test]

@@ -24,12 +24,3 @@ pub fn hot_path(xs: &[u32]) -> Vec<u32> {
 pub fn serve(x: Option<u32>) -> u32 {
     x.unwrap()
 }
-
-/// An engine overriding `prepare` without the prepared surface.
-pub struct HalfEngine;
-
-impl GemmEngine for HalfEngine {
-    fn prepare(&self, b: &Tensor) -> Result<PreparedRhs> {
-        prepare_impl(b)
-    }
-}

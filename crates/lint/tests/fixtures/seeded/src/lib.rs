@@ -10,7 +10,7 @@ pub fn seeded() -> u32 {
     41
 }
 
-/// Seeded rule-6 violation: `unsafe` outside the allowlisted modules.
+/// Seeded rule-5 violation: `unsafe` outside the allowlisted modules.
 pub fn seeded_unsafe() -> u32 {
     unsafe { core::ptr::read(&42u32) }
 }

@@ -480,20 +480,20 @@ impl PlanStep for DenseStep {
 
     /// Column-shards the prepared weight: shard `i` owns a contiguous
     /// slice of output features cut from the shared preparation by
-    /// [`GemmEngine::prepare_tile`], plus the matching bias slice. The
+    /// [`PreparedRhs::cols`], plus the matching bias slice. The
     /// fixed-order column concat equals the whole GEMM bit-exactly for
     /// tile-invariant engines — the same invariant the tiled parallel
     /// driver relies on, lifted to model level. A fused ReLU shards
     /// freely: it is elementwise, so applying it per column shard
     /// before the concat equals applying it after.
     fn shard(&self, shards: usize) -> Result<Option<Vec<crate::shard::ShardedStep>>> {
-        use crate::shard::{column_ranges, slice_prepared, GemmShardPart, ShardedStep};
+        use crate::shard::{column_ranges, GemmShardPart, ShardedStep};
         if !self.engine.tile_invariant() {
             return Ok(None);
         }
         let mut parts: Vec<Box<dyn PlanStep>> = Vec::with_capacity(shards);
         for (c0, width) in column_ranges(self.prepared.n(), shards) {
-            let tile = slice_prepared(&self.engine, &self.prepared, c0, width)?;
+            let tile = self.prepared.cols(c0, width)?;
             parts.push(Box::new(GemmShardPart::new(
                 "dense-shard",
                 self.engine.clone(),
@@ -630,9 +630,7 @@ impl PlanStep for SelfAttentionStep {
     /// (its reduction dimension is the full `dim`, so it cannot join
     /// stage one without splitting `k` — which the contract forbids).
     fn shard(&self, shards: usize) -> Result<Option<Vec<crate::shard::ShardedStep>>> {
-        use crate::shard::{
-            column_ranges, head_ranges, slice_prepared, GemmShardPart, HeadShardPart, ShardedStep,
-        };
+        use crate::shard::{column_ranges, head_ranges, GemmShardPart, HeadShardPart, ShardedStep};
         if !self.engine.tile_invariant() {
             return Ok(None);
         }
@@ -646,9 +644,9 @@ impl PlanStep for SelfAttentionStep {
                 self.dim,
                 head_dim,
                 count,
-                slice_prepared(&self.engine, &self.wq_t, c0, width)?,
-                slice_prepared(&self.engine, &self.wk_t, c0, width)?,
-                slice_prepared(&self.engine, &self.wv_t, c0, width)?,
+                self.wq_t.cols(c0, width)?,
+                self.wk_t.cols(c0, width)?,
+                self.wv_t.cols(c0, width)?,
             )));
         }
         let mut proj_parts: Vec<Box<dyn PlanStep>> = Vec::with_capacity(shards);
@@ -656,7 +654,7 @@ impl PlanStep for SelfAttentionStep {
             proj_parts.push(Box::new(GemmShardPart::new(
                 "attention-proj-shard",
                 self.engine.clone(),
-                slice_prepared(&self.engine, &self.wo_t, c0, width)?,
+                self.wo_t.cols(c0, width)?,
                 None,
                 false,
             )));

@@ -4,18 +4,18 @@
 //! A single Mirage die is not the paper's end state — the workload
 //! story (ResNet50/BERT-scale, Table III) assumes DNN serving scale,
 //! which means *placement*: more than one accelerator holding a slice
-//! of the model. This module lifts the column-slicing machinery that
-//! already exists at tile level
-//! ([`GemmEngine::prepare_tile`](mirage_tensor::GemmEngine::prepare_tile))
-//! into model-level parallelism:
+//! of the model. This module lifts the column windows that already
+//! exist at tile level
+//! ([`PreparedRhs::cols`](mirage_tensor::PreparedRhs::cols)) into
+//! model-level parallelism:
 //!
 //! - **Tensor parallelism** ([`ShardPlan`]): every shardable step of a
 //!   [`CompiledNetwork`] is split over K simulated accelerator
 //!   instances. Shard `i` owns a contiguous **column** shard of each
 //!   Dense weight (and a contiguous head range of each attention
 //!   layer), sliced out of the *one shared preparation* by
-//!   `prepare_tile` — no re-quantization, no per-shard weight copies of
-//!   the packed state. A deterministic combiner ([`ShardCombiner`])
+//!   `PreparedRhs::cols` — no re-quantization, no per-shard weight
+//!   copies of the packed state. A deterministic combiner ([`ShardCombiner`])
 //!   reassembles the per-shard outputs in fixed shard order.
 //! - **Pipeline parallelism**
 //!   ([`CompiledNetwork::with_pipeline`]): the plan's steps are split
@@ -105,30 +105,6 @@ pub(crate) fn column_ranges(n: usize, shards: usize) -> Vec<(usize, usize)> {
 /// the head range is what maps to a column range of `Wq`/`Wk`/`Wv`.
 pub(crate) fn head_ranges(heads: usize, shards: usize) -> Vec<(usize, usize)> {
     column_ranges(heads, shards)
-}
-
-/// Derives the preparation for columns `[c0, c0 + width)` of a shared
-/// prepared weight: [`GemmEngine::prepare_tile`] slices the packed
-/// buffers with no re-quantization; engines without a tile path fall
-/// back to preparing the raw column slice (bit-identical by the
-/// `prepare_tile` contract). Zero-width shards get a raw empty slice —
-/// nothing to quantize.
-pub(crate) fn slice_prepared(
-    engine: &Arc<dyn GemmEngine>,
-    whole: &PreparedRhs,
-    c0: usize,
-    width: usize,
-) -> Result<PreparedRhs> {
-    if width == 0 {
-        return Ok(PreparedRhs::from_raw(
-            engine.name(),
-            &whole.slice_raw_cols(c0, 0)?,
-        )?);
-    }
-    match engine.prepare_tile(whole, c0, width)? {
-        Some(tile) => Ok(tile),
-        None => Ok(engine.prepare(&whole.slice_raw_cols(c0, width)?)?),
-    }
 }
 
 // ──────────────────────────── combiners ────────────────────────────────

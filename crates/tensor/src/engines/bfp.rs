@@ -1,6 +1,6 @@
 //! Mirage's BFP-quantized GEMM engine.
 
-use super::{gemm_dims, Epilogue, GemmEngine, PreparedRhs};
+use super::{gemm_dims, gemm_raw_into, Epilogue, GemmEngine, PreparedRhs};
 use crate::{Result, Tensor, TensorError};
 use mirage_bfp::{
     group_dot, group_dot_i16, group_dot_i32, pow2, BfpBlock, BfpConfig, GemmTail, PackedBfpMatrix,
@@ -198,15 +198,12 @@ fn flat_block_dyn<T: Copy>(
 /// Prepared B-side state: the columns of `B` quantized into one packed,
 /// contiguous buffer ([`PackedBfpMatrix`] rows = columns of `B`), tagged
 /// with the configuration that produced it so a differently-configured
-/// engine instance never reuses it. `col_start`/`col_count` select a
-/// column range of the shared buffer, letting the tiled parallel driver
-/// hand workers *views* of one preparation instead of per-tile copies.
+/// engine instance never reuses it. Column tiles are windows of the
+/// [`PreparedRhs`] holding it, so every tile shares this one buffer.
 #[derive(Debug)]
 pub(crate) struct PreparedBfpCols {
     pub(crate) config: BfpConfig,
-    pub(crate) packed: Arc<PackedBfpMatrix>,
-    pub(crate) col_start: usize,
-    pub(crate) col_count: usize,
+    pub(crate) packed: PackedBfpMatrix,
 }
 
 /// BFP GEMM: operands are quantized group-by-group along the reduction
@@ -348,45 +345,20 @@ impl BfpEngine {
     }
 
     /// The shared flat GEMM kernel: packs the rows of `A` and dots them
-    /// against an already-packed column range of `B`. Shapes are
-    /// validated once up front; the inner loop is a pure integer dot
-    /// over two contiguous `&[i32]` slices with a power-of-two scale —
-    /// no `Result`, no transcendental, no per-group heap objects.
-    fn gemm_with_packed(
-        &self,
-        a: &Tensor,
-        cols: &PackedBfpMatrix,
-        col_start: usize,
-        n: usize,
-    ) -> Result<Tensor> {
-        let mut out = Vec::new();
-        let m = self.gemm_with_packed_into(a, cols, col_start, n, &mut out)?;
-        Tensor::from_vec(out, &[m, n])
-    }
-
-    /// [`BfpEngine::gemm_with_packed`] writing into a caller buffer —
-    /// the allocation-free entry point behind
-    /// [`GemmEngine::gemm_prepared_into`]. Returns `m`.
+    /// against an already-packed column range of `B`, writing into a
+    /// caller buffer. Shapes are validated once up front; the inner loop
+    /// is a pure integer dot over two contiguous `&[i32]` slices with a
+    /// power-of-two scale — no `Result`, no transcendental, no
+    /// per-group heap objects. Returns `m`.
+    ///
+    /// An optional fused [`GemmTail`] folds bias/ReLU into the
+    /// accumulator registers right before each output store, in both
+    /// the SIMD and scalar kernels — zero extra passes, bit-identical to
+    /// running the separate sweeps afterwards (an `f32` store
+    /// round-trips exactly and the fold uses the identical `+` /
+    /// `max(0.0)` chain per lane).
     // mirage-lint: no_alloc
     fn gemm_with_packed_into(
-        &self,
-        a: &Tensor,
-        cols: &PackedBfpMatrix,
-        col_start: usize,
-        n: usize,
-        out: &mut Vec<f32>,
-    ) -> Result<usize> {
-        self.gemm_with_packed_tail_into(a, cols, col_start, n, GemmTail::none(), out)
-    }
-
-    /// [`BfpEngine::gemm_with_packed_into`] with a fused [`GemmTail`]:
-    /// bias/ReLU are folded into the accumulator registers right before
-    /// each output store, in both the SIMD and scalar kernels — zero
-    /// extra passes, bit-identical to running the separate sweeps
-    /// afterwards (an `f32` store round-trips exactly and the fold uses
-    /// the identical `+` / `max(0.0)` chain per lane).
-    // mirage-lint: no_alloc
-    fn gemm_with_packed_tail_into(
         &self,
         a: &Tensor,
         cols: &PackedBfpMatrix,
@@ -472,93 +444,29 @@ impl GemmEngine for BfpEngine {
         let (_m, _k, n) = gemm_dims(a, b)?;
         // Group along k: rows of A and rows of B^T (columns of B).
         let cols = Self::pack_cols(b, self.config)?;
-        self.gemm_with_packed(a, &cols, 0, n)
+        let mut out = Vec::new();
+        let m = self.gemm_with_packed_into(a, &cols, 0, n, GemmTail::none(), &mut out)?;
+        Tensor::from_vec(out, &[m, n])
     }
 
     /// Packs the columns of `B` into one contiguous quantized buffer
     /// exactly once.
     fn prepare(&self, b: &Tensor) -> Result<PreparedRhs> {
         let prepared = PreparedRhs::from_raw(self.name(), b)?;
-        let n = prepared.n();
         let packed = Self::pack_cols(b, self.config)?;
         Ok(prepared.with_state(Arc::new(PreparedBfpCols {
             config: self.config,
-            packed: Arc::new(packed),
-            col_start: 0,
-            col_count: n,
+            packed,
         })))
     }
 
-    /// Slices a column tile out of an existing packed preparation: the
-    /// tile shares the quantized buffer through the `Arc`, so the tiled
-    /// parallel driver never re-quantizes B per column tile.
-    fn prepare_tile(
-        &self,
-        whole: &PreparedRhs,
-        c0: usize,
-        width: usize,
-    ) -> Result<Option<PreparedRhs>> {
-        let Some(state) = whole.state_for::<PreparedBfpCols>(self.name()) else {
-            return Ok(None);
-        };
-        if state.config != self.config || c0 + width > state.col_count {
-            return Ok(None);
-        }
-        let raw = whole.slice_raw_cols(c0, width)?;
-        Ok(Some(PreparedRhs::from_raw(self.name(), &raw)?.with_state(
-            Arc::new(PreparedBfpCols {
-                config: state.config,
-                packed: Arc::clone(&state.packed),
-                col_start: state.col_start + c0,
-                col_count: width,
-            }),
-        )))
-    }
-
-    /// Reuses the pre-packed columns; only the rows of `A` touch the
-    /// quantizer. Falls back to [`BfpEngine::gemm`] on preparations from
-    /// other engines or other BFP operating points.
-    fn gemm_prepared(&self, a: &Tensor, b: &PreparedRhs) -> Result<Tensor> {
-        let (_m, _k, n) = gemm_dims(a, b.raw())?;
-        match b.state_for::<PreparedBfpCols>(self.name()) {
-            Some(state) if state.config == self.config && state.col_count == n => {
-                self.gemm_with_packed(a, &state.packed, state.col_start, n)
-            }
-            _ => self.gemm(a, b.raw()),
-        }
-    }
-
-    /// The flat kernel writes straight into the caller's buffer: at
-    /// steady state a serving thread's recycled scratch absorbs the
-    /// output with no allocation. Bit-identical to
-    /// [`BfpEngine::gemm_prepared`].
-    fn gemm_prepared_into(
-        &self,
-        a: &Tensor,
-        b: &PreparedRhs,
-        out: &mut Vec<f32>,
-    ) -> Result<(usize, usize)> {
-        let (_m, _k, n) = gemm_dims(a, b.raw())?;
-        match b.state_for::<PreparedBfpCols>(self.name()) {
-            Some(state) if state.config == self.config && state.col_count == n => {
-                let m = self.gemm_with_packed_into(a, &state.packed, state.col_start, n, out)?;
-                Ok((m, n))
-            }
-            _ => {
-                let y = self.gemm(a, b.raw())?;
-                let m = y.shape()[0];
-                out.clear();
-                out.extend_from_slice(y.data());
-                Ok((m, n))
-            }
-        }
-    }
-
-    /// Folds the bias/ReLU parts of the epilogue into the GEMM kernel's
-    /// output write (see [`GemmTail`]): the accumulator is still in
-    /// registers when the tail applies, so the fused step costs zero
-    /// extra passes over the activation. Residual epilogues and foreign
-    /// preparations fall back to the unfused sequence — which is
+    /// Reuses the pre-packed columns — only the rows of `A` touch the
+    /// quantizer — and folds the bias/ReLU parts of the epilogue into
+    /// the kernel's output write (see [`GemmTail`]): the accumulator is
+    /// still in registers when the tail applies, so the fused step
+    /// costs zero extra passes over the activation. Residual epilogues
+    /// run as one pass after the kernel, and foreign preparations fall
+    /// back to [`BfpEngine::gemm`] on the raw matrix — both
     /// bit-identical, so callers can't tell the difference except in
     /// time.
     fn gemm_prepared_epilogue_into(
@@ -579,29 +487,25 @@ impl GemmEngine for BfpEngine {
                 });
             }
         }
-        if epilogue.residual().is_none() {
-            if let Some(state) = b.state_for::<PreparedBfpCols>(self.name()) {
-                if state.config == self.config && state.col_count == n {
-                    let tail = GemmTail {
-                        bias: epilogue.bias(),
-                        relu: epilogue.relu(),
-                    };
-                    let m = self.gemm_with_packed_tail_into(
-                        a,
-                        &state.packed,
-                        state.col_start,
-                        n,
-                        tail,
-                        out,
-                    )?;
-                    return Ok((m, n));
-                }
+        let Some(state) = b
+            .state_for::<PreparedBfpCols>(self.name())
+            .filter(|state| state.config == self.config)
+        else {
+            return gemm_raw_into(self, a, b, epilogue, out);
+        };
+        let fused = epilogue.residual().is_none();
+        let tail = if fused {
+            GemmTail {
+                bias: epilogue.bias(),
+                relu: epilogue.relu(),
             }
+        } else {
+            GemmTail::none()
+        };
+        let m = self.gemm_with_packed_into(a, &state.packed, b.col_start(), n, tail, out)?;
+        if !fused {
+            epilogue.apply(out, m, n)?;
         }
-        // Residual present or foreign preparation: the trait-default
-        // sequence (GEMM, then one fused elementwise pass).
-        let (m, n) = self.gemm_prepared_into(a, b, out)?;
-        epilogue.apply(out, m, n)?;
         Ok((m, n))
     }
 }
@@ -737,33 +641,11 @@ mod tests {
     }
 
     #[test]
-    fn prepare_tile_slices_share_the_packed_buffer() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(41);
-        let e = BfpEngine::new(BfpConfig::mirage_default());
-        let b = Tensor::randn(&[40, 20], 1.0, &mut rng);
-        let whole = e.prepare(&b).unwrap();
-        let a = Tensor::randn(&[6, 40], 1.0, &mut rng);
-        let full = e.gemm(&a, &b).unwrap();
-        for (c0, width) in [(0, 20), (0, 7), (7, 6), (13, 7)] {
-            let tile = e.prepare_tile(&whole, c0, width).unwrap().unwrap();
-            assert_eq!(tile.n(), width);
-            let got = e.gemm_prepared(&a, &tile).unwrap();
-            for i in 0..6 {
-                for j in 0..width {
-                    assert_eq!(
-                        got.data()[i * width + j].to_bits(),
-                        full.data()[i * 20 + c0 + j].to_bits(),
-                        "tile ({c0}, {width}) at ({i}, {j})"
-                    );
-                }
-            }
-        }
-        // Out-of-range and foreign preparations are declined.
-        assert!(e.prepare_tile(&whole, 15, 6).unwrap().is_none());
-        let foreign = crate::engines::ExactEngine.prepare(&b).unwrap();
-        assert!(e.prepare_tile(&foreign, 0, 4).unwrap().is_none());
-        let other_point = BfpEngine::new(BfpConfig::new(8, 16).unwrap());
-        assert!(other_point.prepare_tile(&whole, 0, 4).unwrap().is_none());
+    fn column_windows_share_the_packed_buffer() {
+        crate::engines::prepared::check_column_windows(
+            &BfpEngine::new(BfpConfig::mirage_default()),
+            &BfpEngine::new(BfpConfig::new(8, 16).unwrap()),
+        );
     }
 
     #[test]

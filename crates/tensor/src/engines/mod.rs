@@ -28,6 +28,7 @@ pub use stochastic::StochasticBfpEngine;
 
 use crate::parallel::{ParallelGemm, TileConfig};
 use crate::{Result, Tensor, TensorError};
+use std::sync::Arc;
 
 /// A matrix-multiplication backend.
 ///
@@ -115,18 +116,11 @@ pub trait GemmEngine: Send + Sync {
         PreparedRhs::from_raw(self.name(), b)
     }
 
-    /// Derives a preparation for the column slice `[c0, c0 + width)` of
-    /// an already-prepared weight **by slicing the prepared buffers** —
-    /// no re-quantization. The tiled parallel driver uses this to hand
-    /// each column tile a view into the shared packed operand instead of
-    /// re-preparing every tile from raw floats.
-    ///
-    /// Returns `Ok(None)` when the engine cannot slice this preparation
-    /// (the default; also foreign state or a mismatched operating
-    /// point) — the caller then prepares the raw tile itself, so this
-    /// is purely an optimization hook, never a correctness one. When a
-    /// tile is returned, `gemm_prepared` against it must be
-    /// bit-identical to preparing the raw column slice from scratch.
+    /// The column window `[c0, c0 + width)` of a prepared weight:
+    /// `Ok(Some(whole.cols(c0, width)?))`. Slicing belongs to
+    /// [`PreparedRhs::cols`] and no engine in the workspace overrides
+    /// this; the method stays only so decorators outside the workspace
+    /// that forward it keep compiling.
     ///
     /// # Errors
     ///
@@ -138,8 +132,7 @@ pub trait GemmEngine: Send + Sync {
         c0: usize,
         width: usize,
     ) -> Result<Option<PreparedRhs>> {
-        let _ = (whole, c0, width);
-        Ok(None)
+        Ok(Some(whole.cols(c0, width)?))
     }
 
     /// Computes `A · B` against a [`PreparedRhs`], reusing its cached
@@ -152,12 +145,18 @@ pub trait GemmEngine: Send + Sync {
     /// back to `gemm(a, b.raw())`, so results never depend on *which*
     /// engine prepared the weight.
     ///
+    /// Routes through [`GemmEngine::gemm_prepared_into`] into a fresh
+    /// buffer; engines implement the primitive
+    /// [`GemmEngine::gemm_prepared_epilogue_into`], not this.
+    ///
     /// # Errors
     ///
     /// Returns the same shape-validation errors as [`GemmEngine::gemm`];
     /// engines may propagate their own arithmetic errors.
     fn gemm_prepared(&self, a: &Tensor, b: &PreparedRhs) -> Result<Tensor> {
-        self.gemm(a, b.raw())
+        let mut out = Vec::new();
+        let (m, n) = self.gemm_prepared_into(a, b, &mut out)?;
+        Tensor::from_vec(out, &[m, n])
     }
 
     /// [`GemmEngine::gemm_prepared`] with an out-parameter: writes the
@@ -166,12 +165,8 @@ pub trait GemmEngine: Send + Sync {
     /// [`crate::scratch::ActivationScratch`] so steady-state inference
     /// reuses the same allocations request after request.
     ///
-    /// The default implementation computes [`GemmEngine::gemm_prepared`]
-    /// and copies the result into `out`, preserving the caller's
-    /// allocation for reuse; engines whose kernels already materialize a
-    /// flat output buffer override this to write into `out` directly.
-    /// Either way the contents are **bit-identical** to
-    /// [`GemmEngine::gemm_prepared`].
+    /// Routes through [`GemmEngine::gemm_prepared_epilogue_into`] with
+    /// [`Epilogue::none`].
     ///
     /// # Errors
     ///
@@ -182,35 +177,33 @@ pub trait GemmEngine: Send + Sync {
         b: &PreparedRhs,
         out: &mut Vec<f32>,
     ) -> Result<(usize, usize)> {
-        let y = self.gemm_prepared(a, b)?;
-        let (m, n) = (y.shape()[0], y.shape()[1]);
-        out.clear();
-        out.extend_from_slice(y.data());
-        Ok((m, n))
+        self.gemm_prepared_epilogue_into(a, b, &Epilogue::none(), out)
     }
 
-    /// [`GemmEngine::gemm_prepared_into`] with a fused [`Epilogue`]:
-    /// the GEMM writes `out`, then bias/residual/ReLU run in **one**
-    /// pass over the still-hot buffer instead of separate
-    /// whole-activation sweeps. Compiled plans use this to collapse
-    /// `dense → relu` step pairs.
+    /// **The prepared-GEMM primitive**: `A · B` against a
+    /// [`PreparedRhs`], written into `out`, then a fused [`Epilogue`]
+    /// (bias/residual/ReLU) in **one** pass over the still-hot buffer
+    /// instead of separate whole-activation sweeps. Compiled plans use
+    /// this to collapse `dense → relu` step pairs; every other prepared
+    /// entry point routes here, so an engine with prepared state
+    /// overrides this method alone.
     ///
-    /// **Bit-identity contract:** the result equals running
-    /// `gemm_prepared_into` and then each epilogue operation as its own
-    /// sweep — the epilogue is elementwise and applied in the same
-    /// fixed order (bias, residual, ReLU) with the same scalar
-    /// expressions, so fusion changes traversal, never arithmetic.
+    /// **Bit-identity contract:** the result equals the GEMM followed by
+    /// each epilogue operation as its own sweep — the epilogue is
+    /// elementwise and applied in the same fixed order (bias, residual,
+    /// ReLU) with the same scalar expressions, so fusion changes
+    /// traversal, never arithmetic.
     ///
-    /// The default implementation dispatches through
-    /// `Self::gemm_prepared_into` (so instrumented engines keep
-    /// counting one prepared GEMM per call) and then applies the
-    /// epilogue.
+    /// The default runs `gemm(a, b.raw())`, copies the result into
+    /// `out` and applies the epilogue ([`gemm_raw_into`]) — the whole
+    /// prepared surface for stateless engines, and the fallback every
+    /// stateful engine takes on a preparation it does not recognize.
     ///
     /// # Errors
     ///
-    /// Returns the same errors as [`GemmEngine::gemm_prepared_into`],
-    /// plus [`TensorError::DimMismatch`] when an epilogue operand
-    /// disagrees with the output shape.
+    /// Returns the same errors as [`GemmEngine::gemm_prepared`], plus
+    /// [`TensorError::DimMismatch`] when an epilogue operand disagrees
+    /// with the output shape.
     fn gemm_prepared_epilogue_into(
         &self,
         a: &Tensor,
@@ -218,9 +211,7 @@ pub trait GemmEngine: Send + Sync {
         epilogue: &Epilogue<'_>,
         out: &mut Vec<f32>,
     ) -> Result<(usize, usize)> {
-        let (m, n) = self.gemm_prepared_into(a, b, out)?;
-        epilogue.apply(out, m, n)?;
-        Ok((m, n))
+        gemm_raw_into(self, a, b, epilogue, out)
     }
 
     /// Lifts the engine onto the tiled multi-threaded driver with the
@@ -242,104 +233,76 @@ pub trait GemmEngine: Send + Sync {
     }
 }
 
-impl<E: GemmEngine + ?Sized> GemmEngine for std::sync::Arc<E> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
+/// Forwards the methods an engine may override through a smart
+/// pointer; the routed prepared entry points reach the pointee's
+/// primitive through the trait defaults.
+macro_rules! forward_engine {
+    ($ptr:ident) => {
+        impl<E: GemmEngine + ?Sized> GemmEngine for $ptr<E> {
+            fn name(&self) -> &'static str {
+                (**self).name()
+            }
 
-    fn gemm(&self, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-        (**self).gemm(a, b)
-    }
+            fn gemm(&self, a: &Tensor, b: &Tensor) -> Result<Tensor> {
+                (**self).gemm(a, b)
+            }
 
-    fn tile_invariant(&self) -> bool {
-        (**self).tile_invariant()
-    }
+            fn tile_invariant(&self) -> bool {
+                (**self).tile_invariant()
+            }
 
-    fn prepare(&self, b: &Tensor) -> Result<PreparedRhs> {
-        (**self).prepare(b)
-    }
+            fn prepare(&self, b: &Tensor) -> Result<PreparedRhs> {
+                (**self).prepare(b)
+            }
 
-    fn prepare_tile(
-        &self,
-        whole: &PreparedRhs,
-        c0: usize,
-        width: usize,
-    ) -> Result<Option<PreparedRhs>> {
-        (**self).prepare_tile(whole, c0, width)
-    }
+            fn prepare_tile(
+                &self,
+                whole: &PreparedRhs,
+                c0: usize,
+                width: usize,
+            ) -> Result<Option<PreparedRhs>> {
+                (**self).prepare_tile(whole, c0, width)
+            }
 
-    fn gemm_prepared(&self, a: &Tensor, b: &PreparedRhs) -> Result<Tensor> {
-        (**self).gemm_prepared(a, b)
-    }
-
-    fn gemm_prepared_into(
-        &self,
-        a: &Tensor,
-        b: &PreparedRhs,
-        out: &mut Vec<f32>,
-    ) -> Result<(usize, usize)> {
-        (**self).gemm_prepared_into(a, b, out)
-    }
-
-    fn gemm_prepared_epilogue_into(
-        &self,
-        a: &Tensor,
-        b: &PreparedRhs,
-        epilogue: &Epilogue<'_>,
-        out: &mut Vec<f32>,
-    ) -> Result<(usize, usize)> {
-        (**self).gemm_prepared_epilogue_into(a, b, epilogue, out)
-    }
+            fn gemm_prepared_epilogue_into(
+                &self,
+                a: &Tensor,
+                b: &PreparedRhs,
+                epilogue: &Epilogue<'_>,
+                out: &mut Vec<f32>,
+            ) -> Result<(usize, usize)> {
+                (**self).gemm_prepared_epilogue_into(a, b, epilogue, out)
+            }
+        }
+    };
 }
 
-impl<E: GemmEngine + ?Sized> GemmEngine for Box<E> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
+forward_engine!(Arc);
+forward_engine!(Box);
 
-    fn gemm(&self, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-        (**self).gemm(a, b)
-    }
-
-    fn tile_invariant(&self) -> bool {
-        (**self).tile_invariant()
-    }
-
-    fn prepare(&self, b: &Tensor) -> Result<PreparedRhs> {
-        (**self).prepare(b)
-    }
-
-    fn prepare_tile(
-        &self,
-        whole: &PreparedRhs,
-        c0: usize,
-        width: usize,
-    ) -> Result<Option<PreparedRhs>> {
-        (**self).prepare_tile(whole, c0, width)
-    }
-
-    fn gemm_prepared(&self, a: &Tensor, b: &PreparedRhs) -> Result<Tensor> {
-        (**self).gemm_prepared(a, b)
-    }
-
-    fn gemm_prepared_into(
-        &self,
-        a: &Tensor,
-        b: &PreparedRhs,
-        out: &mut Vec<f32>,
-    ) -> Result<(usize, usize)> {
-        (**self).gemm_prepared_into(a, b, out)
-    }
-
-    fn gemm_prepared_epilogue_into(
-        &self,
-        a: &Tensor,
-        b: &PreparedRhs,
-        epilogue: &Epilogue<'_>,
-        out: &mut Vec<f32>,
-    ) -> Result<(usize, usize)> {
-        (**self).gemm_prepared_epilogue_into(a, b, epilogue, out)
-    }
+/// The unprepared route of the prepared-GEMM primitive: `gemm` on the
+/// raw matrix, copied into `out` (keeping the caller's allocation),
+/// then the epilogue. The trait default of
+/// [`GemmEngine::gemm_prepared_epilogue_into`], and the fallback
+/// stateful engines take for a preparation they do not recognize.
+///
+/// # Errors
+///
+/// Propagates `engine.gemm`'s errors and [`Epilogue::apply`]'s shape
+/// errors.
+pub fn gemm_raw_into<E: GemmEngine + ?Sized>(
+    engine: &E,
+    a: &Tensor,
+    b: &PreparedRhs,
+    epilogue: &Epilogue<'_>,
+    out: &mut Vec<f32>,
+) -> Result<(usize, usize)> {
+    let y = engine.gemm(a, b.raw())?;
+    let (m, n) = (y.shape()[0], y.shape()[1]);
+    out.clear();
+    out.extend_from_slice(y.data());
+    epilogue.apply(out, m, n)?;
+    Ok((m, n))
 }
 
 /// Validates GEMM operand shapes, returning `(m, k, n)`.

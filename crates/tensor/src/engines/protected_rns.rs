@@ -52,7 +52,7 @@
 
 use super::bfp::BfpEngine;
 use super::rns_bfp::PackedRnsMatrix;
-use super::{gemm_dims, GemmEngine, PreparedRhs};
+use super::{gemm_dims, gemm_raw_into, Epilogue, GemmEngine, PreparedRhs};
 use crate::faults::FaultInjector;
 use crate::{Result, Tensor, TensorError};
 use mirage_bfp::{pow2, BfpConfig};
@@ -61,15 +61,13 @@ use mirage_rns::{ModuliSet, RedundantRns, RnsError};
 use std::sync::Arc;
 
 /// Prepared B-side state: columns quantized and forward-converted over
-/// the **full** (base + redundant) moduli set. Same tiling story as the
-/// unprotected `PreparedRnsCols`.
+/// the **full** (base + redundant) moduli set. Column tiles are windows
+/// of the [`PreparedRhs`] holding it, as for the unprotected engine.
 #[derive(Debug)]
 struct PreparedProtectedCols {
     config: BfpConfig,
     full: ModuliSet,
-    packed: Arc<PackedRnsMatrix>,
-    col_start: usize,
-    col_count: usize,
+    packed: PackedRnsMatrix,
 }
 
 /// The RRNS-protected Mirage numerical path: BFP mantissae → forward
@@ -332,19 +330,6 @@ impl ProtectedRnsBfpEngine {
         }
         Ok(m)
     }
-
-    /// Allocating wrapper over the kernel.
-    fn gemm_with_packed(
-        &self,
-        a: &Tensor,
-        cols: &PackedRnsMatrix,
-        col_start: usize,
-        n: usize,
-    ) -> Result<Tensor> {
-        let mut out = Vec::new();
-        let m = self.gemm_with_packed_into(a, cols, col_start, n, &mut out)?;
-        Tensor::from_vec(out, &[m, n])
-    }
 }
 
 /// The `count` smallest primes strictly greater than `floor` (trial
@@ -394,7 +379,9 @@ impl GemmEngine for ProtectedRnsBfpEngine {
     fn gemm(&self, a: &Tensor, b: &Tensor) -> Result<Tensor> {
         let (_m, _k, n) = gemm_dims(a, b)?;
         let cols = self.pack_cols(b)?;
-        self.gemm_with_packed(a, &cols, 0, n)
+        let mut out = Vec::new();
+        let m = self.gemm_with_packed_into(a, &cols, 0, n, &mut out)?;
+        Tensor::from_vec(out, &[m, n])
     }
 
     /// Quantizes and forward-converts the columns of `B` once over the
@@ -403,87 +390,34 @@ impl GemmEngine for ProtectedRnsBfpEngine {
     /// channels included.
     fn prepare(&self, b: &Tensor) -> Result<PreparedRhs> {
         let prepared = PreparedRhs::from_raw(self.name(), b)?;
-        let n = prepared.n();
         let packed = self.pack_cols(b)?;
         Ok(prepared.with_state(Arc::new(PreparedProtectedCols {
             config: self.config,
             full: self.rrns.full_set().clone(),
-            packed: Arc::new(packed),
-            col_start: 0,
-            col_count: n,
+            packed,
         })))
     }
 
-    /// Slices a column tile out of an existing preparation, sharing the
-    /// residue planes through the `Arc`.
-    fn prepare_tile(
-        &self,
-        whole: &PreparedRhs,
-        c0: usize,
-        width: usize,
-    ) -> Result<Option<PreparedRhs>> {
-        let Some(state) = whole.state_for::<PreparedProtectedCols>(self.name()) else {
-            return Ok(None);
-        };
-        if state.config != self.config
-            || state.full != *self.rrns.full_set()
-            || c0 + width > state.col_count
-        {
-            return Ok(None);
-        }
-        let raw = whole.slice_raw_cols(c0, width)?;
-        Ok(Some(PreparedRhs::from_raw(self.name(), &raw)?.with_state(
-            Arc::new(PreparedProtectedCols {
-                config: state.config,
-                full: state.full.clone(),
-                packed: Arc::clone(&state.packed),
-                col_start: state.col_start + c0,
-                col_count: width,
-            }),
-        )))
-    }
-
-    /// Reuses pre-converted weight planes; falls back to
+    /// Reuses pre-converted weight planes: the protected kernel writes
+    /// straight into the caller's buffer, and the epilogue runs only
+    /// once every group has decoded (an uncorrectable group returns its
+    /// typed error first). Falls back to
     /// [`ProtectedRnsBfpEngine::gemm`] on foreign preparations.
-    fn gemm_prepared(&self, a: &Tensor, b: &PreparedRhs) -> Result<Tensor> {
-        let (_m, _k, n) = gemm_dims(a, b.raw())?;
-        match b.state_for::<PreparedProtectedCols>(self.name()) {
-            Some(state)
-                if state.config == self.config
-                    && state.full == *self.rrns.full_set()
-                    && state.col_count == n =>
-            {
-                self.gemm_with_packed(a, &state.packed, state.col_start, n)
-            }
-            _ => self.gemm(a, b.raw()),
-        }
-    }
-
-    /// The protected kernel writes straight into the caller's buffer —
-    /// bit-identical to [`ProtectedRnsBfpEngine::gemm_prepared`].
-    fn gemm_prepared_into(
+    fn gemm_prepared_epilogue_into(
         &self,
         a: &Tensor,
         b: &PreparedRhs,
+        epilogue: &Epilogue<'_>,
         out: &mut Vec<f32>,
     ) -> Result<(usize, usize)> {
-        let (_m, _k, n) = gemm_dims(a, b.raw())?;
         match b.state_for::<PreparedProtectedCols>(self.name()) {
-            Some(state)
-                if state.config == self.config
-                    && state.full == *self.rrns.full_set()
-                    && state.col_count == n =>
-            {
-                let m = self.gemm_with_packed_into(a, &state.packed, state.col_start, n, out)?;
+            Some(state) if state.config == self.config && state.full == *self.rrns.full_set() => {
+                let (_m, _k, n) = gemm_dims(a, b.raw())?;
+                let m = self.gemm_with_packed_into(a, &state.packed, b.col_start(), n, out)?;
+                epilogue.apply(out, m, n)?;
                 Ok((m, n))
             }
-            _ => {
-                let y = self.gemm(a, b.raw())?;
-                let m = y.shape()[0];
-                out.clear();
-                out.extend_from_slice(y.data());
-                Ok((m, n))
-            }
+            _ => gemm_raw_into(self, a, b, epilogue, out),
         }
     }
 }
@@ -567,23 +501,24 @@ mod tests {
             (6, 8)
         );
         assert_eq!(out, direct.data());
-        // Column tiles sliced from the shared preparation concatenate
-        // back bit-identically (tile_invariant contract).
-        let left = protected.prepare_tile(&prepared, 0, 5).unwrap().unwrap();
-        let right = protected.prepare_tile(&prepared, 5, 3).unwrap().unwrap();
-        let yl = protected.gemm_prepared(&a, &left).unwrap();
-        let yr = protected.gemm_prepared(&a, &right).unwrap();
-        for i in 0..6 {
-            for j in 0..8 {
-                let expect = direct.data()[i * 8 + j];
-                let got = if j < 5 {
-                    yl.data()[i * 5 + j]
-                } else {
-                    yr.data()[i * 3 + (j - 5)]
-                };
-                assert_eq!(got.to_bits(), expect.to_bits(), "({i}, {j})");
-            }
-        }
+        let mut fused = Vec::new();
+        let bias = [0.5f32, -0.25, 1.0, 0.0, -2.0, 0.125, 0.75, -1.0];
+        let epilogue = Epilogue::none().with_bias(&bias).with_relu();
+        protected
+            .gemm_prepared_epilogue_into(&a, &prepared, &epilogue, &mut fused)
+            .unwrap();
+        let mut expected = direct.data().to_vec();
+        epilogue.apply(&mut expected, 6, 8).unwrap();
+        assert_eq!(fused, expected);
+    }
+
+    #[test]
+    fn column_windows_share_the_residue_planes() {
+        let cfg3 = BfpConfig::new(3, 16).unwrap();
+        crate::engines::prepared::check_column_windows(
+            &ProtectedRnsBfpEngine::with_min_special_set(cfg()).unwrap(),
+            &ProtectedRnsBfpEngine::with_min_special_set(cfg3).unwrap(),
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! BFP GEMM routed bit-exactly through RNS residues.
 
 use super::bfp::BfpEngine;
-use super::{gemm_dims, GemmEngine, PreparedRhs};
+use super::{gemm_dims, gemm_raw_into, Epilogue, GemmEngine, PreparedRhs};
 use crate::{Result, Tensor, TensorError};
 use mirage_bfp::{pow2, BfpConfig, PackedBfpMatrix, SimdPolicy, SimdTier};
 use mirage_rns::convert::{CrtConverter, ReverseConverter};
@@ -61,16 +61,13 @@ impl PackedRnsMatrix {
 
 /// Prepared B-side state: the columns of `B` quantized and pushed
 /// through forward conversion into packed residue planes, tagged with
-/// the operating point and moduli set that produced them.
-/// `col_start`/`col_count` select a column range of the shared planes
-/// (see [`super::bfp::PreparedBfpCols`] for the tiling story).
+/// the operating point and moduli set that produced them. Column tiles
+/// are windows of the [`PreparedRhs`] holding it.
 #[derive(Debug)]
 struct PreparedRnsCols {
     config: BfpConfig,
     moduli: ModuliSet,
-    packed: Arc<PackedRnsMatrix>,
-    col_start: usize,
-    col_count: usize,
+    packed: PackedRnsMatrix,
 }
 
 /// Power-of-two scale tables of one 3-channel GEMM: `pa2` holds
@@ -198,27 +195,13 @@ impl RnsBfpEngine {
 
     /// The shared flat GEMM kernel: quantizes and forward-converts the
     /// rows of `A` into packed residue planes, then dots them against an
-    /// already-converted column range of `B`. Every step below the
-    /// quantizer is exact integer arithmetic, so pre-converting either
-    /// side cannot change a single bit. Shapes are validated once up
-    /// front; the per-group work is one slice dot per modulus channel,
-    /// one trusted CRT reverse conversion into a hoisted scratch vector,
-    /// and one power-of-two scale — nothing in the loop allocates.
-    fn gemm_with_packed(
-        &self,
-        a: &Tensor,
-        cols: &PackedRnsMatrix,
-        col_start: usize,
-        n: usize,
-    ) -> Result<Tensor> {
-        let mut out = Vec::new();
-        let m = self.gemm_with_packed_into(a, cols, col_start, n, &mut out)?;
-        Tensor::from_vec(out, &[m, n])
-    }
-
-    /// [`RnsBfpEngine::gemm_with_packed`] writing into a caller buffer —
-    /// the allocation-free entry point behind
-    /// [`GemmEngine::gemm_prepared_into`]. Returns `m`.
+    /// already-converted column range of `B`, writing into a caller
+    /// buffer. Every step below the quantizer is exact integer
+    /// arithmetic, so pre-converting either side cannot change a single
+    /// bit. Shapes are validated once up front; the per-group work is
+    /// one slice dot per modulus channel, one trusted CRT reverse
+    /// conversion into a hoisted scratch vector, and one power-of-two
+    /// scale — nothing in the loop allocates. Returns `m`.
     fn gemm_with_packed_into(
         &self,
         a: &Tensor,
@@ -550,7 +533,9 @@ impl GemmEngine for RnsBfpEngine {
         // Forward conversion of the B side (in hardware: shift-based,
         // per §IV-B); the A side converts inside the shared kernel.
         let cols = self.pack_cols(b)?;
-        self.gemm_with_packed(a, &cols, 0, n)
+        let mut out = Vec::new();
+        let m = self.gemm_with_packed_into(a, &cols, 0, n, &mut out)?;
+        Tensor::from_vec(out, &[m, n])
     }
 
     /// Quantizes **and** forward-converts the columns of `B` once: the
@@ -559,89 +544,33 @@ impl GemmEngine for RnsBfpEngine {
     /// weights.
     fn prepare(&self, b: &Tensor) -> Result<PreparedRhs> {
         let prepared = PreparedRhs::from_raw(self.name(), b)?;
-        let n = prepared.n();
         let packed = self.pack_cols(b)?;
         Ok(prepared.with_state(Arc::new(PreparedRnsCols {
             config: self.config,
             moduli: self.moduli.clone(),
-            packed: Arc::new(packed),
-            col_start: 0,
-            col_count: n,
+            packed,
         })))
     }
 
-    /// Slices a column tile out of an existing preparation: the tile
-    /// shares the residue planes through the `Arc`, so the tiled
-    /// parallel driver never re-converts B per column tile.
-    fn prepare_tile(
-        &self,
-        whole: &PreparedRhs,
-        c0: usize,
-        width: usize,
-    ) -> Result<Option<PreparedRhs>> {
-        let Some(state) = whole.state_for::<PreparedRnsCols>(self.name()) else {
-            return Ok(None);
-        };
-        if state.config != self.config
-            || state.moduli != self.moduli
-            || c0 + width > state.col_count
-        {
-            return Ok(None);
-        }
-        let raw = whole.slice_raw_cols(c0, width)?;
-        Ok(Some(PreparedRhs::from_raw(self.name(), &raw)?.with_state(
-            Arc::new(PreparedRnsCols {
-                config: state.config,
-                moduli: state.moduli.clone(),
-                packed: Arc::clone(&state.packed),
-                col_start: state.col_start + c0,
-                col_count: width,
-            }),
-        )))
-    }
-
-    /// Reuses pre-converted weight residue planes. Falls back to
-    /// [`RnsBfpEngine::gemm`] on preparations from other engines, other
-    /// operating points, or other moduli sets.
-    fn gemm_prepared(&self, a: &Tensor, b: &PreparedRhs) -> Result<Tensor> {
-        let (_m, _k, n) = gemm_dims(a, b.raw())?;
-        match b.state_for::<PreparedRnsCols>(self.name()) {
-            Some(state)
-                if state.config == self.config
-                    && state.moduli == self.moduli
-                    && state.col_count == n =>
-            {
-                self.gemm_with_packed(a, &state.packed, state.col_start, n)
-            }
-            _ => self.gemm(a, b.raw()),
-        }
-    }
-
-    /// The flat RNS kernel writes straight into the caller's buffer —
-    /// bit-identical to [`RnsBfpEngine::gemm_prepared`].
-    fn gemm_prepared_into(
+    /// Reuses pre-converted weight residue planes, writing straight into
+    /// the caller's buffer, then applies the epilogue in one pass. Falls
+    /// back to [`RnsBfpEngine::gemm`] on preparations from other
+    /// engines, other operating points, or other moduli sets.
+    fn gemm_prepared_epilogue_into(
         &self,
         a: &Tensor,
         b: &PreparedRhs,
+        epilogue: &Epilogue<'_>,
         out: &mut Vec<f32>,
     ) -> Result<(usize, usize)> {
-        let (_m, _k, n) = gemm_dims(a, b.raw())?;
         match b.state_for::<PreparedRnsCols>(self.name()) {
-            Some(state)
-                if state.config == self.config
-                    && state.moduli == self.moduli
-                    && state.col_count == n =>
-            {
-                let m = self.gemm_with_packed_into(a, &state.packed, state.col_start, n, out)?;
+            Some(state) if state.config == self.config && state.moduli == self.moduli => {
+                let (_m, _k, n) = gemm_dims(a, b.raw())?;
+                let m = self.gemm_with_packed_into(a, &state.packed, b.col_start(), n, out)?;
+                epilogue.apply(out, m, n)?;
                 Ok((m, n))
             }
-            _ => {
-                let y = self.gemm(a, b.raw())?;
-                let m = y.shape()[0];
-                out.clear();
-                out.extend_from_slice(y.data());
-                Ok((m, n))
-            }
+            _ => gemm_raw_into(self, a, b, epilogue, out),
         }
     }
 }
@@ -723,26 +652,12 @@ mod tests {
     }
 
     #[test]
-    fn prepare_tile_slices_share_the_residue_planes() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(31);
-        let engine = RnsBfpEngine::with_min_special_set(BfpConfig::mirage_default()).unwrap();
-        let b = Tensor::randn(&[33, 14], 1.0, &mut rng);
-        let whole = engine.prepare(&b).unwrap();
-        let a = Tensor::randn(&[4, 33], 1.0, &mut rng);
-        let full = engine.gemm(&a, &b).unwrap();
-        for (c0, width) in [(0, 14), (3, 8), (9, 5)] {
-            let tile = engine.prepare_tile(&whole, c0, width).unwrap().unwrap();
-            let got = engine.gemm_prepared(&a, &tile).unwrap();
-            for i in 0..4 {
-                for j in 0..width {
-                    assert_eq!(
-                        got.data()[i * width + j].to_bits(),
-                        full.data()[i * 14 + c0 + j].to_bits()
-                    );
-                }
-            }
-        }
-        assert!(engine.prepare_tile(&whole, 10, 6).unwrap().is_none());
+    fn column_windows_share_the_residue_planes() {
+        let cfg = BfpConfig::mirage_default();
+        crate::engines::prepared::check_column_windows(
+            &RnsBfpEngine::with_min_special_set(cfg).unwrap(),
+            &RnsBfpEngine::new(cfg, ModuliSet::new(&[11, 13, 16, 9]).unwrap()).unwrap(),
+        );
     }
 
     #[test]

@@ -37,9 +37,8 @@ pub enum TensorError {
     /// A convolution/pooling geometry is invalid (e.g. kernel larger than
     /// padded input).
     InvalidGeometry(String),
-    /// A serving-session lookup missed: nothing is prepared under this
-    /// layer/model key (`InferenceSession` weights, `ModelSession`
-    /// compiled models).
+    /// A serving-session lookup missed: nothing is compiled under this
+    /// model key (`ModelSession` compiled models).
     UnknownLayer {
         /// The key that was looked up.
         name: String,

@@ -46,7 +46,7 @@
 //! consumes no draws at all, so a disabled injector is free and cannot
 //! perturb the draw stream.
 
-use crate::engines::{GemmEngine, PreparedRhs};
+use crate::engines::{Epilogue, GemmEngine, PreparedRhs};
 use crate::{Result, Tensor};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -507,28 +507,20 @@ impl<E: GemmEngine> GemmEngine for FaultyEngine<E> {
         self.inner.prepare(b)
     }
 
-    fn prepare_tile(
-        &self,
-        whole: &PreparedRhs,
-        c0: usize,
-        width: usize,
-    ) -> Result<Option<PreparedRhs>> {
-        self.inner.prepare_tile(whole, c0, width)
-    }
-
-    fn gemm_prepared(&self, a: &Tensor, b: &PreparedRhs) -> Result<Tensor> {
-        Ok(self.corrupt_tensor(self.inner.gemm_prepared(a, b)?))
-    }
-
-    fn gemm_prepared_into(
+    /// Corrupts the inner engine's prepared output **before** the
+    /// epilogue, as an unfused `dense → relu` plan would see it: the
+    /// fault model hits the analog GEMM, not the elementwise tail.
+    fn gemm_prepared_epilogue_into(
         &self,
         a: &Tensor,
         b: &PreparedRhs,
+        epilogue: &Epilogue<'_>,
         out: &mut Vec<f32>,
     ) -> Result<(usize, usize)> {
-        let dims = self.inner.gemm_prepared_into(a, b, out)?;
+        let (m, n) = self.inner.gemm_prepared_into(a, b, out)?;
         self.injector.corrupt_output(out);
-        Ok(dims)
+        epilogue.apply(out, m, n)?;
+        Ok((m, n))
     }
 }
 

@@ -37,10 +37,10 @@
 //!
 //! The driver prepares the right-hand side **once per call** via
 //! [`GemmEngine::prepare`] and hands every row band the same
-//! [`PreparedRhs`] (or, with column tiling, one prepared value per
-//! column tile) — quantizing engines no longer re-run their B-side
-//! quantization per band. [`ParallelGemm::gemm_prepared`] goes further
-//! and reuses a caller-supplied preparation across *calls*, and
+//! [`PreparedRhs`] (or, with column tiling, one [`PreparedRhs::cols`]
+//! window of it per column tile) — quantizing engines never re-run
+//! their B-side quantization per band or per tile. The prepared entry
+//! points reuse a caller-supplied preparation across *calls*, and
 //! [`ParallelGemm::gemm_batch`] prepares once per batch.
 //!
 //! # Thread-count knob
@@ -54,10 +54,11 @@
 //! quantum of the problem, and exactly one (the serial path) below the
 //! threshold — so parallelism never loses to its own overhead.
 
-use crate::engines::{gemm_dims, GemmEngine, PreparedRhs};
+use crate::engines::{gemm_dims, Epilogue, GemmEngine, PreparedRhs};
 use crate::faults::{FaultCounts, FaultScope};
 use crate::{Result, Tensor, TensorError};
 use mirage_bfp::BfpConfig;
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -283,9 +284,7 @@ impl<E: GemmEngine> ParallelGemm<E> {
     ///
     /// An empty batch returns an empty `Vec` without touching the
     /// engine. To amortize preparation across *batches* as well, prepare
-    /// the weight yourself and call [`ParallelGemm::gemm_batch_prepared`]
-    /// (or use `mirage_core`'s `InferenceSession`, which caches the
-    /// preparation per layer).
+    /// the weight yourself and call [`ParallelGemm::gemm_batch_prepared`].
     ///
     /// # Errors
     ///
@@ -423,7 +422,7 @@ impl<E: GemmEngine> ParallelGemm<E> {
     fn process_band(
         &self,
         a: &Tensor,
-        col_tiles: &[(usize, &PreparedRhs)],
+        col_tiles: &[(usize, Cow<'_, PreparedRhs>)],
         r0: usize,
         k: usize,
         n: usize,
@@ -441,36 +440,19 @@ impl<E: GemmEngine> ParallelGemm<E> {
         Ok(())
     }
 
-    /// The threaded fan-out shared by [`ParallelGemm::gemm`] and
-    /// [`ParallelGemm::gemm_prepared`]: row bands × column tiles over a
-    /// thread scope, every band consuming the **same** prepared B-side
-    /// state. `b_prepared` is the caller's whole-matrix preparation if
-    /// it already has one; with no column tiling it is shared by every
-    /// band directly, and with column tiling each tile is derived from
-    /// it via [`GemmEngine::prepare_tile`] — a view into the shared
-    /// packed buffers by column offset — falling back to slicing `b_raw`
-    /// and preparing the tile only for engines without packed state.
-    fn fan_out(
-        &self,
-        a: &Tensor,
-        b_raw: &Tensor,
-        b_prepared: Option<&PreparedRhs>,
-        (m, k, n): (usize, usize, usize),
-        threads: usize,
-    ) -> Result<Tensor> {
-        let mut out = Vec::new();
-        self.fan_out_into(a, b_raw, b_prepared, (m, k, n), threads, &mut out)?;
-        Tensor::from_vec(out, &[m, n])
-    }
-
-    /// [`ParallelGemm::fan_out`] writing into a caller buffer (cleared
-    /// and resized to `m × n` first) — the threaded half of
-    /// [`GemmEngine::gemm_prepared_into`].
+    /// The threaded fan-out shared by [`ParallelGemm::gemm`] and the
+    /// prepared primitive: row bands × column tiles over a thread scope,
+    /// writing into a caller buffer (cleared and resized to `m × n`
+    /// first), then the epilogue as one pass over the filled buffer.
+    /// Every band consumes the **same** prepared B-side state: with no
+    /// column tiling `b` itself, otherwise one [`PreparedRhs::cols`]
+    /// window of it per tile — a view into the shared packed buffers by
+    /// column offset.
     fn fan_out_into(
         &self,
         a: &Tensor,
-        b_raw: &Tensor,
-        b_prepared: Option<&PreparedRhs>,
+        b: &PreparedRhs,
+        epilogue: &Epilogue<'_>,
         (m, k, n): (usize, usize, usize),
         threads: usize,
         out: &mut Vec<f32>,
@@ -491,63 +473,13 @@ impl<E: GemmEngine> ParallelGemm<E> {
         } else {
             n
         };
-        // With k-blocking active, compute_block works from raw k-slices
-        // and never consumes prepared state, so preparing here would be
-        // pure waste — stage raw wrappers instead.
-        let k_blocked = self.config.tile_k > 0 && self.config.tile_k < k;
-        let stage = |tile: &Tensor| -> Result<PreparedRhs> {
-            if k_blocked {
-                PreparedRhs::from_raw(self.inner.name(), tile)
-            } else {
-                self.inner.prepare(tile)
-            }
-        };
-        // Column tiles of B are staged and prepared once, then shared by
-        // every band; with no column tiling the caller's preparation (or
-        // one fresh whole-matrix preparation) is shared directly.
-        let whole: Option<PreparedRhs> = if tile_n >= n && b_prepared.is_none() {
-            Some(stage(b_raw)?)
-        } else {
-            None
-        };
-        let owned_tiles: Vec<(usize, PreparedRhs)> = if tile_n >= n {
-            Vec::new()
+        let col_tiles: Vec<(usize, Cow<'_, PreparedRhs>)> = if tile_n >= n {
+            vec![(0, Cow::Borrowed(b))]
         } else {
             (0..n)
                 .step_by(tile_n)
-                .map(|c0| {
-                    let width = tile_n.min(n - c0);
-                    // A caller-supplied whole-matrix preparation is
-                    // *sliced* when the engine supports it: the tile
-                    // shares the packed quantized buffers by offset, so
-                    // column tiling no longer re-quantizes B per tile
-                    // (or, worse, per call on the prepared path).
-                    if !k_blocked {
-                        if let Some(whole) = b_prepared {
-                            if let Some(tile) = self.inner.prepare_tile(whole, c0, width)? {
-                                return Ok((c0, tile));
-                            }
-                        }
-                    }
-                    let mut data = Vec::with_capacity(k * width);
-                    for row in b_raw.data().chunks(n) {
-                        data.extend_from_slice(&row[c0..c0 + width]);
-                    }
-                    let tile = Tensor::from_vec(data, &[k, width])?;
-                    Ok((c0, stage(&tile)?))
-                })
+                .map(|c0| Ok((c0, Cow::Owned(b.cols(c0, tile_n.min(n - c0))?))))
                 .collect::<Result<_>>()?
-        };
-        let col_tiles: Vec<(usize, &PreparedRhs)> = if tile_n >= n {
-            vec![(
-                0,
-                // Provably infallible: `whole` is `Some` exactly when
-                // `b_prepared` is `None` in this branch (staged above).
-                // mirage-lint: allow(panic_ok) -- whole is staged above whenever b_prepared is None in this branch
-                b_prepared.unwrap_or_else(|| whole.as_ref().expect("prepared above")),
-            )]
-        } else {
-            owned_tiles.iter().map(|(c0, tile)| (*c0, tile)).collect()
         };
 
         out.clear();
@@ -589,7 +521,8 @@ impl<E: GemmEngine> ParallelGemm<E> {
                 }
             }
             outcome
-        })
+        })?;
+        epilogue.apply(out, m, n)
     }
 
     /// Whether this `(m, k, n)` problem should skip the threaded path.
@@ -688,7 +621,25 @@ impl<E: GemmEngine> GemmEngine for ParallelGemm<E> {
         if threads <= 1 {
             return self.inner.gemm(a, b);
         }
-        self.fan_out(a, b, None, (m, k, n), threads)
+        // One whole-matrix preparation shared by every band and tile.
+        // With k-blocking active, `compute_block` works from raw
+        // k-slices and never consumes prepared state, so preparing would
+        // be pure waste — stage a raw wrapper instead.
+        let prepared = if self.config.tile_k > 0 && self.config.tile_k < k {
+            PreparedRhs::from_raw(self.inner.name(), b)?
+        } else {
+            self.inner.prepare(b)?
+        };
+        let mut out = Vec::new();
+        self.fan_out_into(
+            a,
+            &prepared,
+            &Epilogue::none(),
+            (m, k, n),
+            threads,
+            &mut out,
+        )?;
+        Tensor::from_vec(out, &[m, n])
     }
 
     /// Delegates to the wrapped engine: the prepared state belongs to
@@ -699,48 +650,25 @@ impl<E: GemmEngine> GemmEngine for ParallelGemm<E> {
         self.inner.prepare(b)
     }
 
-    /// Delegates tile slicing to the wrapped engine, like
-    /// [`ParallelGemm::prepare`]: the packed column-view belongs to the
-    /// arithmetic, so an outer driver wrapping this one (nested batch
-    /// drivers, shared engine stacks) slices the same shared buffers
-    /// instead of falling back to re-quantizing each tile.
-    fn prepare_tile(
-        &self,
-        whole: &PreparedRhs,
-        c0: usize,
-        width: usize,
-    ) -> Result<Option<PreparedRhs>> {
-        self.inner.prepare_tile(whole, c0, width)
-    }
-
-    /// The threaded driver against an already-prepared weight: every row
-    /// band shares the caller's preparation, so repeated calls never
-    /// re-run the engine's B-side quantization — per band *or* per call.
-    fn gemm_prepared(&self, a: &Tensor, b: &PreparedRhs) -> Result<Tensor> {
-        let (m, k, n) = gemm_dims(a, b.raw())?;
-        let threads = self.planned_workers(m, k, n);
-        if threads <= 1 {
-            return self.inner.gemm_prepared(a, b);
-        }
-        self.fan_out(a, b.raw(), Some(b), (m, k, n), threads)
-    }
-
-    /// The threaded driver writing into a caller buffer: small problems
-    /// delegate to the wrapped engine's `gemm_prepared_into`, large ones
-    /// fan out and have the workers fill the buffer in place —
-    /// bit-identical to [`ParallelGemm::gemm_prepared`] either way.
-    fn gemm_prepared_into(
+    /// The threaded driver against an already-prepared weight: small
+    /// problems delegate to the wrapped engine's primitive (fused
+    /// epilogue included); large ones fan out, every row band sharing
+    /// the caller's preparation so repeated calls never re-run the
+    /// engine's B-side quantization — per band *or* per call.
+    /// Bit-identical either way.
+    fn gemm_prepared_epilogue_into(
         &self,
         a: &Tensor,
         b: &PreparedRhs,
+        epilogue: &Epilogue<'_>,
         out: &mut Vec<f32>,
     ) -> Result<(usize, usize)> {
         let (m, k, n) = gemm_dims(a, b.raw())?;
         let threads = self.planned_workers(m, k, n);
         if threads <= 1 {
-            return self.inner.gemm_prepared_into(a, b, out);
+            return self.inner.gemm_prepared_epilogue_into(a, b, epilogue, out);
         }
-        self.fan_out_into(a, b.raw(), Some(b), (m, k, n), threads, out)?;
+        self.fan_out_into(a, b, epilogue, (m, k, n), threads, out)?;
         Ok((m, n))
     }
 }
@@ -984,7 +912,15 @@ mod tests {
         let scope = FaultScope::begin();
         // Uncorrectable groups surface as a typed error; the counts
         // must reconcile either way.
-        let _ = parallel.fan_out(&a, &b, None, (m, k, n), 2);
+        let prepared = parallel.prepare(&b).unwrap();
+        let _ = parallel.fan_out_into(
+            &a,
+            &prepared,
+            &Epilogue::none(),
+            (m, k, n),
+            2,
+            &mut Vec::new(),
+        );
         let counts = scope.finish();
         let after = injector.counts();
         let delta = FaultCounts {
@@ -995,5 +931,61 @@ mod tests {
         };
         assert!(delta.injected > 0, "the injector must fire at this rate");
         assert_eq!(counts, delta);
+    }
+
+    #[test]
+    fn threaded_fused_epilogue_matches_serial_and_keeps_fault_counts() {
+        // The prepared primitive's threaded path — 2 workers over
+        // `tile_n` column windows, then the epilogue — driven directly
+        // so it also runs on a 1-CPU host.
+        use crate::engines::ProtectedRnsBfpEngine;
+        use crate::faults::{FaultConfig, FaultInjector};
+        use std::sync::Arc;
+        let (m, k, n) = (48, 64, 40);
+        let (a, b) = pair(78, m, k, n);
+        let bias: Vec<f32> = (0..n).map(|j| (j as f32 - 20.0) * 0.1).collect();
+        let epilogue = Epilogue::none().with_bias(&bias).with_relu();
+        let engine =
+            ProtectedRnsBfpEngine::with_min_special_set(BfpConfig::mirage_default()).unwrap();
+        let prepared = engine.prepare(&b).unwrap();
+        let mut serial = Vec::new();
+        engine
+            .gemm_prepared_epilogue_into(&a, &prepared, &epilogue, &mut serial)
+            .unwrap();
+        assert!(serial.contains(&0.0) && serial.iter().any(|&v| v > 0.0));
+        let fused = |parallel: &ParallelGemm<ProtectedRnsBfpEngine>| -> Result<Vec<f32>> {
+            let mut out = vec![f32::NAN; 3];
+            parallel.fan_out_into(&a, &prepared, &epilogue, (m, k, n), 2, &mut out)?;
+            Ok(out)
+        };
+        let clean = ParallelGemm::new(engine.clone(), four_threads(8, 16));
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&fused(&clean).unwrap()), bits(&serial));
+
+        let injector = Arc::new(FaultInjector::new(
+            FaultConfig::disabled(6).with_residue_flip_rate(1e-3),
+        ));
+        let armed = ParallelGemm::new(
+            engine.with_injector(Arc::clone(&injector)),
+            four_threads(8, 16),
+        );
+        let before = injector.counts();
+        let scope = FaultScope::begin();
+        let result = fused(&armed);
+        let counts = scope.finish();
+        let after = injector.counts();
+        let delta = FaultCounts {
+            injected: after.injected - before.injected,
+            detected: after.detected - before.detected,
+            corrected: after.corrected - before.corrected,
+            uncorrectable: after.uncorrectable - before.uncorrectable,
+        };
+        assert!(delta.injected > 0, "the injector must fire at this rate");
+        assert_eq!(counts, delta);
+        // Corrected runs are bit-identical to the clean fused result.
+        if let Ok(out) = result {
+            assert_eq!(delta.uncorrectable, 0);
+            assert_eq!(bits(&out), bits(&serial));
+        }
     }
 }

@@ -49,7 +49,7 @@ pub use mirage_core::serve::{
     BatchMode, ModelServer, PendingResponse, RequestStats, Response, ServeError, ServerConfig,
     ServerStats,
 };
-pub use mirage_core::{InferenceSession, Mirage, ModelSession, PhotonicGemmEngine};
+pub use mirage_core::{Mirage, ModelSession, PhotonicGemmEngine};
 pub use mirage_nn::{CompiledNetwork, PipelineTrace, ShardPlan, ShardSpec};
 pub use mirage_tensor::engines::ProtectedRnsBfpEngine;
 pub use mirage_tensor::faults::{FaultConfig, FaultCounts, FaultInjector, FaultyEngine};

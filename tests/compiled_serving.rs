@@ -21,7 +21,7 @@ use rand::SeedableRng;
 
 /// Every (engine, tiling) stack of the grid: the four arithmetic paths,
 /// each serial and under two parallel tile configurations (including a
-/// column-tiled one, which exercises `prepare_tile` slicing).
+/// column-tiled one, which exercises `PreparedRhs::cols` windows).
 fn engine_stacks(mirage: &Mirage) -> Vec<(String, Engines)> {
     let tilings: [(&str, Option<TileConfig>); 3] = [
         ("serial", None),
