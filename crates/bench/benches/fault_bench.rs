@@ -46,8 +46,8 @@ use rand::SeedableRng;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A serving-zoo shape small enough to sweep on the generic 5-channel
-/// protected kernel: hidden width, FF blocks, classifier classes.
+/// A serving-zoo shape small enough to sweep quickly: hidden width, FF
+/// blocks, classifier classes.
 const HIDDEN: usize = 96;
 const BLOCKS: usize = 2;
 const CLASSES: usize = 10;

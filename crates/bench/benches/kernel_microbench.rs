@@ -23,6 +23,11 @@
 //!   order-balanced back-to-back pairs (`mirage_bench::paired_speedup`),
 //!   plus the unprepared RNS-BFP `gemm` at the 256×64×256 training
 //!   backward shape. The `simd` column records the tier each row ran at.
+//! - **RRNS rows** (`rrns gemm (simd)`): the RRNS-protected engine
+//!   against unprotected SIMD RNS-BFP on prepared weights at the
+//!   1×96×384 serving shape and 64×256×256, clean and with a 1e-5
+//!   residue-flip injector armed; `overhead` is protected over
+//!   unprotected time.
 //!
 //! Every comparison asserts **bit-identity** before timing anything, so
 //! running this bench in `--test` (smoke) mode is a correctness check.
@@ -34,10 +39,12 @@ use mirage_bench::{paired_speedup, print_table, write_summary, JsonField, Paired
 use mirage_bfp::{simd, BfpBlock, BfpConfig, PackedBfpMatrix, SimdPolicy};
 use mirage_rns::convert::{CrtConverter, ReverseConverter};
 use mirage_rns::residue;
-use mirage_tensor::engines::{BfpEngine, RnsBfpEngine};
+use mirage_tensor::engines::{BfpEngine, ProtectedRnsBfpEngine, RnsBfpEngine};
+use mirage_tensor::faults::{FaultConfig, FaultInjector};
 use mirage_tensor::{GemmEngine, Tensor};
 use rand::SeedableRng;
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The serving shape the acceptance criteria are measured on.
@@ -466,6 +473,73 @@ fn main() {
             format!("{tm}x{tk}x{tn}"),
             r,
         );
+    }
+
+    // RRNS protection over the same fused residue pipeline: the
+    // protected engine (base {31, 32, 33} + redundant {37, 41}) against
+    // unprotected SIMD RNS-BFP on prepared weights, clean and with a
+    // 1e-5 residue-flip injector armed. Here `legacy_ms` is the
+    // unprotected baseline, `packed_ms` the protected candidate, and
+    // `overhead` their ratio (the channel ratio 5/3 is the floor).
+    for (rm, rk, rn) in [(1, 96, 384), (M, K, N)] {
+        let x = Tensor::randn(&[rm, rk], 1.0, &mut rng);
+        let w = Tensor::randn(&[rk, rn], 1.0, &mut rng);
+        let unprotected = RnsBfpEngine::with_min_special_set(config).unwrap();
+        let prepared_unprotected = unprotected.prepare(&w).unwrap();
+        let want = unprotected
+            .gemm_prepared(&x, &prepared_unprotected)
+            .unwrap();
+        for rate in [0.0, 1e-5] {
+            let injector = Arc::new(FaultInjector::new(
+                FaultConfig::disabled(11).with_residue_flip_rate(rate),
+            ));
+            let protected = ProtectedRnsBfpEngine::with_min_special_set(config)
+                .unwrap()
+                .with_injector(injector);
+            let prepared_protected = protected.prepare(&w).unwrap();
+            // Corrected flips leave the output bit-identical; an
+            // uncorrectable call (two flips in one group) is refused.
+            if let Ok(got) = protected.gemm_prepared(&x, &prepared_protected) {
+                assert_same_bits(&want, &got, "protected GEMM diverged from RNS-BFP");
+            }
+            let r = paired_speedup(
+                rounds,
+                reps(if rm == 1 { 64 } else { 2 }),
+                || {
+                    let _ = black_box(protected.gemm_prepared(black_box(&x), &prepared_protected));
+                },
+                || {
+                    black_box(
+                        unprotected
+                            .gemm_prepared(black_box(&x), &prepared_unprotected)
+                            .unwrap(),
+                    );
+                },
+            );
+            let label = if rate == 0.0 { "clean" } else { "armed 1e-5" };
+            let workload = format!("{rm}x{rk}x{rn} {label}");
+            rows.push(vec![
+                "rrns gemm (simd)".into(),
+                workload.clone(),
+                format!("{:.3}", r.baseline_s * 1e3),
+                format!("{:.3}", r.candidate_s * 1e3),
+                format!("{:.2}x", r.speedup),
+                tier.to_string(),
+                "yes".into(),
+            ]);
+            json.push(vec![
+                JsonField::Str("kernel", "rrns gemm (simd)".into()),
+                JsonField::Str("workload", workload),
+                JsonField::Num("legacy_ms", r.baseline_s * 1e3),
+                JsonField::Num("packed_ms", r.candidate_s * 1e3),
+                JsonField::Num("speedup", r.speedup),
+                JsonField::Num("overhead", 1.0 / r.speedup),
+                JsonField::Num("flip_rate", rate),
+                JsonField::Str("simd", tier.to_string()),
+                JsonField::Num("threads", 1.0),
+                JsonField::Num("pairs_kept", r.kept as f64),
+            ]);
+        }
     }
 
     print_table(

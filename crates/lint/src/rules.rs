@@ -18,7 +18,7 @@ use crate::report::{Finding, Rule};
 use crate::scan::{scan, ScanInfo};
 
 /// The serving modules rule 3 protects (workspace-relative paths).
-pub const SERVING_MODULES: [&str; 8] = [
+pub const SERVING_MODULES: [&str; 9] = [
     "crates/nn/src/compile.rs",
     "crates/nn/src/shard.rs",
     "crates/core/src/serve.rs",
@@ -26,6 +26,7 @@ pub const SERVING_MODULES: [&str; 8] = [
     "crates/tensor/src/parallel.rs",
     "crates/tensor/src/faults.rs",
     "crates/tensor/src/engines/protected_rns.rs",
+    "crates/tensor/src/engines/rns_bfp.rs",
     "crates/tensor/src/engines/epilogue.rs",
 ];
 

@@ -48,6 +48,7 @@ fn serving_contract_covers_the_online_server() {
         "crates/tensor/src/parallel.rs",
         "crates/tensor/src/faults.rs",
         "crates/tensor/src/engines/protected_rns.rs",
+        "crates/tensor/src/engines/rns_bfp.rs",
     ] {
         assert!(
             mirage_lint::rules::SERVING_MODULES.contains(&file),

@@ -124,6 +124,27 @@ impl RedundantRns {
         Ok(!self.in_legitimate_range(v, self.full.dynamic_range()))
     }
 
+    /// The fast clean-path check: `value`, decoded from the **base**
+    /// channels alone (the trusted signed CRT), lies in the legitimate
+    /// range `|v| ≤ ψ` and every redundant channel of `residues` agrees
+    /// with it. By CRT uniqueness (a full-set vector agreeing with some
+    /// `|v| ≤ ψ` on every channel *is* that value's encoding) this
+    /// accepts exactly the vectors [`RedundantRns::detect`] calls
+    /// clean, without a full-set CRT.
+    pub fn is_consistent(&self, value: i128, residues: &[u64]) -> bool {
+        // A corrupted base can decode just outside [-ψ, ψ] (e.g. to
+        // -(ψ+1) when the base product is even); the range check closes
+        // that edge before the channel comparisons.
+        value.unsigned_abs() <= self.psi()
+            && self
+                .full
+                .moduli()
+                .iter()
+                .enumerate()
+                .skip(self.base_len)
+                .all(|(channel, m)| residues.get(channel) == Some(&m.reduce_i128(value)))
+    }
+
     /// Attempts to decode, correcting at most one corrupted channel.
     ///
     /// # Errors

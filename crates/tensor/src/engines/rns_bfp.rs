@@ -2,10 +2,13 @@
 
 use super::bfp::BfpEngine;
 use super::{gemm_dims, gemm_raw_into, Epilogue, GemmEngine, PreparedRhs};
+use crate::faults::{FaultInjector, ResidueFault};
 use crate::{Result, Tensor, TensorError};
 use mirage_bfp::{pow2, BfpConfig, PackedBfpMatrix, SimdPolicy, SimdTier};
 use mirage_rns::convert::{CrtConverter, ReverseConverter};
-use mirage_rns::{simd as rns_simd, ModuliSet, ResiduePlane};
+use mirage_rns::{simd as rns_simd, ModuliSet, RedundantRns, ResiduePlane, RnsError};
+use std::iter::Peekable;
+use std::slice;
 use std::sync::Arc;
 
 /// A packed matrix forward-converted into the RNS domain: one flat
@@ -70,17 +73,22 @@ struct PreparedRnsCols {
     packed: PackedRnsMatrix,
 }
 
-/// Power-of-two scale tables of one 3-channel GEMM: `pa2` holds
-/// `pow2` of every A-side group exponent (`m × groups_per_row`), `pb2`
-/// one column block's B-side factors for the fused AVX2 routine
-/// (`groups_per_row × 8`, restaged per block). Allocated by
-/// the caller so the kernel itself never allocates.
-struct ScaleTables {
+/// Per-call scratch of the blocked 3-channel kernel, allocated by the
+/// caller so the kernel itself never allocates: `pa2` holds `pow2` of
+/// every A-side group exponent (`m × groups_per_row`), `pb2` one column
+/// block's B-side factors for the fused AVX2 routines
+/// (`groups_per_row × 8`, restaged per block). The protected kernel
+/// adds `deltas`, one block's planned fault deltas in the
+/// [`rns_simd::CheckedLanes`] table layout (zero outside a faulted
+/// block), and `residues`, one group's channel residues.
+struct BlockScratch {
     pa2: Vec<f64>,
     pb2: Vec<f64>,
+    deltas: Vec<u32>,
+    residues: Vec<u64>,
 }
 
-impl ScaleTables {
+impl BlockScratch {
     /// Stages Fig. 2 step 8's B-side factors for the `jw` columns
     /// starting at `first_col`: once per block instead of once per
     /// (row, group, column).
@@ -91,6 +99,183 @@ impl ScaleTables {
             }
         }
     }
+}
+
+/// The lane-table slot of a block's canonical word `word`: the block
+/// starting at word `first` holds `groups · channels` words per column,
+/// and [`rns_simd::CheckedLanes`] reads the delta of column `jj`,
+/// group `gi`, channel `c` at `(gi · channels + c) · 8 + jj`.
+fn delta_slot(word: u64, (first, groups, channels): (u64, usize, usize)) -> usize {
+    let local = (word - first) as usize;
+    let per_column = groups * channels;
+    (local % per_column) * rns_simd::BLOCK + local / per_column
+}
+
+/// Stages a block's planned flips into the all-zero delta table and
+/// returns it, or `None` for a fault-free block.
+fn stage_deltas<'t>(
+    table: &'t mut [u32],
+    faults: &[ResidueFault],
+    layout: (u64, usize, usize),
+) -> Option<&'t [u32]> {
+    if faults.is_empty() {
+        return None;
+    }
+    for fault in faults {
+        // `CheckedLanes` admits only moduli below 2¹⁵, so `delta < m`
+        // fits a lane.
+        table[delta_slot(fault.word, layout)] = fault.delta as u32;
+    }
+    Some(table)
+}
+
+/// Restores the zeros [`stage_deltas`] overwrote.
+fn clear_deltas(table: &mut [u32], faults: &[ResidueFault], layout: (u64, usize, usize)) {
+    for fault in faults {
+        table[delta_slot(fault.word, layout)] = 0;
+    }
+}
+
+/// The shared kernel's protection, resolved at compile time: `()` is
+/// the unprotected kernel, and [`Checked`] adds redundant channels, the
+/// consistency check and the call's fault plan. The unprotected
+/// instantiation's `checked()` is a constant `None`, so its protected
+/// branches compile away.
+pub(crate) trait Protection {
+    /// The redundancy to check, if any.
+    fn checked(&self) -> Option<&Checked<'_>>;
+}
+
+impl Protection for () {
+    #[inline(always)]
+    fn checked(&self) -> Option<&Checked<'_>> {
+        None
+    }
+}
+
+impl Protection for Checked<'_> {
+    #[inline(always)]
+    fn checked(&self) -> Option<&Checked<'_>> {
+        Some(self)
+    }
+}
+
+/// RRNS protection for one GEMM call: the redundant residue system
+/// whose full set both operands were converted over (base channels
+/// first), and the injector that plans the call's residue flips.
+pub(crate) struct Checked<'a> {
+    pub(crate) rrns: &'a RedundantRns,
+    pub(crate) injector: Option<&'a FaultInjector>,
+}
+
+impl Checked<'_> {
+    /// The call's residue flips over `words` canonical words (empty
+    /// without an armed injector).
+    fn plan(&self, words: usize) -> Vec<ResidueFault> {
+        self.injector.map_or_else(Vec::new, |injector| {
+            injector.residue_fault_plan(words as u64, self.rrns.full_set().moduli())
+        })
+    }
+
+    /// Counts the flips the kernel is about to apply.
+    fn note_injected(&self, count: usize) {
+        if let Some(injector) = self.injector {
+            injector.note_injected(count as u64);
+        }
+    }
+
+    /// One group's residues over every channel, with its planned flips
+    /// applied: `faults` is consumed in canonical word order, and
+    /// `word` is the canonical index of the group's first channel.
+    // mirage-lint: region(int_kernel)
+    #[allow(clippy::too_many_arguments)]
+    fn group_residues(
+        &self,
+        a_rns: &PackedRnsMatrix,
+        cols: &PackedRnsMatrix,
+        a_off: usize,
+        b_off: usize,
+        faults: &mut Peekable<slice::Iter<'_, ResidueFault>>,
+        word: u64,
+        residues: &mut [u64],
+    ) {
+        let moduli = self.rrns.full_set().moduli();
+        let channels = moduli.iter().zip(&a_rns.planes).zip(&cols.planes);
+        for (c, ((&modulus, a), b)) in channels.enumerate() {
+            let mut r = a.group_dot(a_off, b, b_off, a_rns.g, modulus);
+            if let Some(fault) = faults.next_if(|f| f.word == word + c as u64) {
+                r = (r + fault.delta) % modulus.value();
+            }
+            residues[c] = r;
+        }
+    }
+    // mirage-lint: end_region(int_kernel)
+
+    /// Redundancy-checked reverse conversion of one group's residues:
+    /// the base channels' trusted CRT when every redundant channel
+    /// agrees ([`RedundantRns::is_consistent`]), otherwise a detection
+    /// and drop-one majority-logic [`RedundantRns::correct`] — the
+    /// corrected value, or [`RnsError::Uncorrectable`] when no
+    /// single-channel correction explains the vector.
+    pub(crate) fn decode(&self, base: &CrtConverter, residues: &[u64]) -> Result<i128> {
+        let value = base.to_signed_trusted(&residues[..self.rrns.base_len()]);
+        if self.rrns.is_consistent(value, residues) {
+            return Ok(value);
+        }
+        if let Some(injector) = self.injector {
+            injector.record_detected();
+        }
+        match self.rrns.correct(residues) {
+            Ok(corrected) => {
+                if let Some(injector) = self.injector {
+                    injector.record_corrected();
+                }
+                Ok(corrected.value)
+            }
+            Err(RnsError::Uncorrectable) => {
+                if let Some(injector) = self.injector {
+                    injector.record_uncorrectable();
+                }
+                Err(TensorError::Rns(RnsError::Uncorrectable))
+            }
+            Err(other) => Err(TensorError::Rns(other)),
+        }
+    }
+
+    /// The scalar checked path of one output element, row `i` × column
+    /// `col`: every group decoded through [`Checked::decode`] with the
+    /// element's planned flips applied. `first` is the canonical index
+    /// of its first word. Same recombination chain as the fused lanes,
+    /// so a corrected element is bit-identical to a clean one.
+    #[allow(clippy::too_many_arguments)]
+    fn column_sum(
+        &self,
+        base: &CrtConverter,
+        a_rns: &PackedRnsMatrix,
+        cols: &PackedRnsMatrix,
+        (i, col): (usize, usize),
+        row_pa2: &[f64],
+        (faults, first): (&[ResidueFault], u64),
+        residues: &mut [u64],
+    ) -> Result<f32> {
+        let mut faults = faults.iter().peekable();
+        let mut acc = 0.0f32;
+        for (gi, &pa) in row_pa2.iter().enumerate() {
+            let (a_off, b_off) = (a_rns.group_offset(i, gi), cols.group_offset(col, gi));
+            let word = first + (gi * residues.len()) as u64;
+            self.group_residues(a_rns, cols, a_off, b_off, &mut faults, word, residues);
+            let integer = self.decode(base, residues)? as f64;
+            let pb2 = pow2(cols.scale_exp(col, gi));
+            acc += (integer * (pa * pb2)) as f32;
+        }
+        Ok(acc)
+    }
+}
+
+/// The planned flips of canonical words `first..end`.
+fn planned_in(plan: &[ResidueFault], first: u64, end: u64) -> &[ResidueFault] {
+    let plan = &plan[plan.partition_point(|f| f.word < first)..];
+    &plan[..plan.partition_point(|f| f.word < end)]
 }
 
 /// The full Mirage numerical path: BFP mantissae → forward conversion →
@@ -200,15 +385,21 @@ impl RnsBfpEngine {
     /// arithmetic, so pre-converting either side cannot change a single
     /// bit. Shapes are validated once up front; the per-group work is
     /// one slice dot per modulus channel, one trusted CRT reverse
-    /// conversion into a hoisted scratch vector, and one power-of-two
-    /// scale — nothing in the loop allocates. Returns `m`.
-    fn gemm_with_packed_into(
+    /// conversion, and one power-of-two scale — nothing in the loop
+    /// allocates. Returns `m`.
+    ///
+    /// With [`Checked`] protection both operands carry the full base +
+    /// redundant set (base channels first), the call's residue flips
+    /// are planned once up front, and every group is checked: see
+    /// [`super::ProtectedRnsBfpEngine`]'s protection lifecycle.
+    pub(crate) fn gemm_with_packed_into<P: Protection>(
         &self,
         a: &Tensor,
         cols: &PackedRnsMatrix,
         col_start: usize,
         n: usize,
         out: &mut Vec<f32>,
+        protection: &P,
     ) -> Result<usize> {
         let (m, k) = (a.shape()[0], a.shape()[1]);
         if cols.k != k {
@@ -218,11 +409,25 @@ impl RnsBfpEngine {
             });
         }
         debug_assert!(col_start + n <= cols.rows, "column range out of bounds");
-        let moduli = self.moduli.moduli();
+        let set = protection
+            .checked()
+            .map_or(&self.moduli, |checked| checked.rrns.full_set());
+        if cols.planes.len() != set.len() {
+            return Err(TensorError::InvalidGeometry(format!(
+                "prepared columns carry {} residue channels, the kernel needs {}",
+                cols.planes.len(),
+                set.len()
+            )));
+        }
         // Quantize + forward-convert each activation group once, not
         // once per output column.
-        let a_rns =
-            PackedRnsMatrix::from_packed(&BfpEngine::pack_rows_wide(a, self.config), &self.moduli);
+        let a_rns = PackedRnsMatrix::from_packed(&BfpEngine::pack_rows_wide(a, self.config), set);
+        let groups = a_rns.groups_per_row;
+        // One reservation of fault draws for every residue word of the
+        // call, in canonical order (see `FaultInjector::residue_fault_plan`).
+        let plan = protection
+            .checked()
+            .map_or_else(Vec::new, |checked| checked.plan(m * n * groups * set.len()));
 
         out.clear();
         out.resize(m * n, 0.0);
@@ -231,22 +436,51 @@ impl RnsBfpEngine {
         // common `g`); everything else takes the generic loop. All
         // variants accumulate groups in ascending order per output
         // element, so results are bit-identical across dispatches.
-        match (moduli.len(), a_rns.g) {
+        match (self.moduli.len(), a_rns.g) {
             (3, g @ (16 | 32)) => {
-                // The blocked kernel's power-of-two scale tables, sized
-                // here so the kernel itself stays allocation-free.
-                let mut scales = ScaleTables {
+                // The blocked kernel's scratch, sized here so the kernel
+                // itself stays allocation-free.
+                let table = groups * set.len() * rns_simd::BLOCK;
+                let mut scratch = BlockScratch {
                     pa2: a_rns.scale_exps.iter().map(|&e| pow2(e)).collect(),
-                    pb2: vec![0.0; a_rns.groups_per_row * rns_simd::BLOCK],
+                    pb2: vec![0.0; groups * rns_simd::BLOCK],
+                    deltas: vec![
+                        0;
+                        if protection.checked().is_some() {
+                            table
+                        } else {
+                            0
+                        }
+                    ],
+                    residues: vec![0; set.len()],
                 };
+                let dims = (m, n);
                 if g == 16 {
-                    self.rns_blocks::<16>(&a_rns, cols, col_start, (m, n), &mut scales, out);
+                    self.rns_blocks::<16, P>(
+                        &a_rns,
+                        cols,
+                        col_start,
+                        dims,
+                        &mut scratch,
+                        out,
+                        protection,
+                        &plan,
+                    )
                 } else {
-                    self.rns_blocks::<32>(&a_rns, cols, col_start, (m, n), &mut scales, out);
+                    self.rns_blocks::<32, P>(
+                        &a_rns,
+                        cols,
+                        col_start,
+                        dims,
+                        &mut scratch,
+                        out,
+                        protection,
+                        &plan,
+                    )
                 }
             }
-            _ => self.rns_generic(&a_rns, cols, col_start, m, n, out),
-        }
+            _ => self.rns_generic(&a_rns, cols, col_start, (m, n), out, protection, &plan),
+        }?;
         Ok(m)
     }
 
@@ -258,16 +492,25 @@ impl RnsBfpEngine {
     /// pipeline is inlined over raw slices — no per-dot tier dispatch,
     /// no per-group converter call — and on AVX2 it runs as one fused
     /// vector routine per 8-column block ([`rns_simd::Crt3Lanes`]).
+    ///
+    /// The protected instantiation runs the same blocks over every
+    /// channel: on AVX2 through [`rns_simd::CheckedLanes`], with the
+    /// block's planned flips staged as lane deltas; each inconsistent
+    /// lane's column (every column, without lanes) reruns through the
+    /// scalar [`Checked`] decode with the same flips applied.
     // mirage-lint: no_alloc
-    fn rns_blocks<const G: usize>(
+    #[allow(clippy::too_many_arguments)]
+    fn rns_blocks<const G: usize, P: Protection>(
         &self,
         a_rns: &PackedRnsMatrix,
         cols: &PackedRnsMatrix,
         col_start: usize,
         (m, n): (usize, usize),
-        scales: &mut ScaleTables,
+        scratch: &mut BlockScratch,
         out: &mut [f32],
-    ) {
+        protection: &P,
+        plan: &[ResidueFault],
+    ) -> Result<()> {
         const JW: usize = rns_simd::BLOCK;
         let groups = a_rns.groups_per_row;
         let moduli = self.moduli.moduli();
@@ -322,23 +565,94 @@ impl RnsBfpEngine {
             // tails and declined shapes run the scalar dot — the same
             // integers and the same recombination chain either way.
             let tier = mirage_bfp::simd::resolve_tier(self.simd);
-            let fused = if tier == SimdTier::Avx2 {
+            let fused = if tier == SimdTier::Avx2 && protection.checked().is_none() {
                 rns_simd::Crt3Lanes::new(moduli, &crt, G)
             } else {
                 None
+            };
+            // The protected lanes need every channel, base and
+            // redundant, in the `u16` tier.
+            let channels = a_rns.planes.len();
+            let mut a16: [&[u16]; rns_simd::CHANNELS + rns_simd::MAX_REDUNDANT] =
+                Default::default();
+            let mut b16 = a16;
+            let checked_lanes = match protection.checked() {
+                Some(checked) if tier == SimdTier::Avx2 && channels <= a16.len() => {
+                    let mut all_u16 = true;
+                    for (c, (a, b)) in a_rns.planes.iter().zip(&cols.planes).enumerate() {
+                        match (a.as_u16(), b.as_u16()) {
+                            (Some(a), Some(b)) => (a16[c], b16[c]) = (a, b),
+                            _ => all_u16 = false,
+                        }
+                    }
+                    let full = checked.rrns.full_set().moduli();
+                    all_u16
+                        .then(|| rns_simd::CheckedLanes::new(full, &crt, G))
+                        .flatten()
+                }
+                _ => None,
             };
             let use4 = tier >= SimdTier::Sse2 && G.is_multiple_of(8) && rns_simd::dot4_available();
             let stride = groups * cols.g;
             let mut acc = [0.0f32; JW];
             for j0 in (0..n).step_by(JW) {
                 let jw = (n - j0).min(JW);
-                if fused.is_some() {
-                    scales.stage_block(cols, col_start + j0, jw);
+                if fused.is_some() || checked_lanes.is_some() {
+                    scratch.stage_block(cols, col_start + j0, jw);
                 }
                 let b_base = cols.group_offset(col_start + j0, 0);
                 for i in 0..m {
-                    let row_pa2 = &scales.pa2[i * groups..(i + 1) * groups];
+                    let row_pa2 = &scratch.pa2[i * groups..(i + 1) * groups];
                     let dst = &mut out[i * n + j0..i * n + j0 + jw];
+                    if let Some(checked) = protection.checked() {
+                        // A (row, block) is one contiguous run of
+                        // canonical words, so its flips are one slice
+                        // of the sorted plan.
+                        let per_column = (groups * channels) as u64;
+                        let first = (i * n + j0) as u64 * per_column;
+                        let faults = planned_in(plan, first, first + jw as u64 * per_column);
+                        checked.note_injected(faults.len());
+                        // Columns the lanes cannot vouch for: all of them
+                        // without lanes, else the inconsistent lanes.
+                        let mut rerun = (1u32 << jw) - 1;
+                        if let Some(lanes) = checked_lanes.as_ref().filter(|_| jw == JW) {
+                            let layout = (first, groups, channels);
+                            let table = stage_deltas(&mut scratch.deltas, faults, layout);
+                            let mask = lanes.block8::<G>(
+                                &a16[..channels],
+                                a_rns.group_offset(i, 0),
+                                &b16[..channels],
+                                b_base,
+                                stride,
+                                row_pa2,
+                                &scratch.pb2,
+                                table,
+                                dst,
+                            );
+                            if table.is_some() {
+                                clear_deltas(&mut scratch.deltas, faults, layout);
+                            }
+                            rerun = mask.unwrap_or(rerun);
+                        }
+                        while rerun != 0 {
+                            let jj = rerun.trailing_zeros() as usize;
+                            rerun &= rerun - 1;
+                            let col_first = first + jj as u64 * per_column;
+                            dst[jj] = checked.column_sum(
+                                &self.converter,
+                                a_rns,
+                                cols,
+                                (i, col_start + j0 + jj),
+                                row_pa2,
+                                (
+                                    planned_in(faults, col_first, col_first + per_column),
+                                    col_first,
+                                ),
+                                &mut scratch.residues,
+                            )?;
+                        }
+                        continue;
+                    }
                     if let Some(lanes) = &fused {
                         let a_off = a_rns.group_offset(i, 0);
                         if lanes.block8::<G>(
@@ -348,7 +662,7 @@ impl RnsBfpEngine {
                             b_base,
                             stride,
                             row_pa2,
-                            &scales.pb2,
+                            &scratch.pb2,
                             dst,
                         ) {
                             continue;
@@ -422,7 +736,11 @@ impl RnsBfpEngine {
                     dst.copy_from_slice(&acc[..jw]);
                 }
             }
-            return;
+            return Ok(());
+        }
+        if protection.checked().is_some() {
+            // Wide-tier planes: the canonical-order checked loop.
+            return self.rns_generic(a_rns, cols, col_start, (m, n), out, protection, plan);
         }
         let mut acc = [0.0f32; JW];
         for j0 in (0..n).step_by(JW) {
@@ -458,24 +776,32 @@ impl RnsBfpEngine {
                 }
             }
         }
+        Ok(())
     }
 
     /// The fully generic kernel: any channel count, any group size.
+    /// Visits words in canonical order, so the protected instantiation
+    /// consumes its plan front to back.
     // mirage-lint: no_alloc
-    fn rns_generic(
+    #[allow(clippy::too_many_arguments)]
+    fn rns_generic<P: Protection>(
         &self,
         a_rns: &PackedRnsMatrix,
         cols: &PackedRnsMatrix,
         col_start: usize,
-        m: usize,
-        n: usize,
+        (m, n): (usize, usize),
         out: &mut [f32],
-    ) {
+        protection: &P,
+        plan: &[ResidueFault],
+    ) -> Result<()> {
         let moduli = self.moduli.moduli();
         let g = a_rns.g;
+        let channels = a_rns.planes.len();
         // Per-group CRT scratch, hoisted out of every loop.
         // mirage-lint: allow(alloc_ok) -- one CRT scratch vector per GEMM call, hoisted out of all three loops
-        let mut residues_out = vec![0u64; moduli.len()];
+        let mut residues_out = vec![0u64; channels];
+        let mut faults = plan.iter().peekable();
+        let mut word = 0u64;
         for i in 0..m {
             for j in 0..n {
                 let col = col_start + j;
@@ -483,29 +809,45 @@ impl RnsBfpEngine {
                 for gi in 0..a_rns.groups_per_row {
                     let a_off = a_rns.group_offset(i, gi);
                     let b_off = cols.group_offset(col, gi);
-                    // The modular dot products the MMVMUs compute
-                    // (Fig. 2 steps 5-6), one per modulus channel.
-                    // mirage-lint: region(int_kernel)
-                    for (channel, &modulus) in moduli.iter().enumerate() {
-                        residues_out[channel] = a_rns.planes[channel].group_dot(
+                    let integer = if let Some(checked) = protection.checked() {
+                        let pending = faults.len();
+                        checked.group_residues(
+                            a_rns,
+                            cols,
                             a_off,
-                            &cols.planes[channel],
                             b_off,
-                            g,
-                            modulus,
+                            &mut faults,
+                            word,
+                            &mut residues_out,
                         );
-                    }
-                    // Reverse conversion (Fig. 2 step 7) and exponent
-                    // recombination (step 8).
-                    // mirage-lint: allow(float_ok) -- CRT output is bounded by Eq. 13 (< 2^52), so the i64 -> f64 conversion is lossless
-                    let integer = self.converter.to_signed_trusted(&residues_out) as f64;
-                    // mirage-lint: end_region(int_kernel)
+                        checked.note_injected(pending - faults.len());
+                        word += channels as u64;
+                        checked.decode(&self.converter, &residues_out)? as f64
+                    } else {
+                        // The modular dot products the MMVMUs compute
+                        // (Fig. 2 steps 5-6), one per modulus channel.
+                        // mirage-lint: region(int_kernel)
+                        for (channel, &modulus) in moduli.iter().enumerate() {
+                            residues_out[channel] = a_rns.planes[channel].group_dot(
+                                a_off,
+                                &cols.planes[channel],
+                                b_off,
+                                g,
+                                modulus,
+                            );
+                        }
+                        // mirage-lint: end_region(int_kernel)
+                        // Reverse conversion (Fig. 2 step 7).
+                        self.converter.to_signed_trusted(&residues_out) as f64
+                    };
+                    // Exponent recombination (step 8).
                     let scale_exp = a_rns.scale_exp(i, gi) + cols.scale_exp(col, gi);
                     acc += (integer * pow2(scale_exp)) as f32;
                 }
                 out[i * n + j] = acc;
             }
         }
+        Ok(())
     }
 
     /// Packs and forward-converts the columns of `B`.
@@ -534,7 +876,7 @@ impl GemmEngine for RnsBfpEngine {
         // per §IV-B); the A side converts inside the shared kernel.
         let cols = self.pack_cols(b)?;
         let mut out = Vec::new();
-        let m = self.gemm_with_packed_into(a, &cols, 0, n, &mut out)?;
+        let m = self.gemm_with_packed_into(a, &cols, 0, n, &mut out, &())?;
         Tensor::from_vec(out, &[m, n])
     }
 
@@ -566,7 +908,7 @@ impl GemmEngine for RnsBfpEngine {
         match b.state_for::<PreparedRnsCols>(self.name()) {
             Some(state) if state.config == self.config && state.moduli == self.moduli => {
                 let (_m, _k, n) = gemm_dims(a, b.raw())?;
-                let m = self.gemm_with_packed_into(a, &state.packed, b.col_start(), n, out)?;
+                let m = self.gemm_with_packed_into(a, &state.packed, b.col_start(), n, out, &())?;
                 epilogue.apply(out, m, n)?;
                 Ok((m, n))
             }
@@ -731,6 +1073,53 @@ mod tests {
             special.gemm_prepared(&a, &foreign).unwrap().data(),
             special.gemm(&a, &b).unwrap().data()
         );
+    }
+
+    #[test]
+    fn decode_agrees_with_rrns_detect_on_corrupted_vectors() {
+        let base = ModuliSet::special_set(5).unwrap();
+        let rrns = RedundantRns::new(&[31, 32, 33], &[37, 41]).unwrap();
+        let converter = CrtConverter::new(&base);
+        let checked = Checked {
+            rrns: &rrns,
+            injector: None,
+        };
+        let moduli: Vec<u64> = rrns.full_set().moduli().iter().map(|m| m.value()).collect();
+        for value in [-16367i128, -4242, -1, 0, 1, 900, 16367] {
+            let clean = rrns.encode(value).unwrap();
+            assert_eq!(checked.decode(&converter, &clean).unwrap(), value);
+            for channel in 0..moduli.len() {
+                for delta in [1u64, moduli[channel] - 1] {
+                    let mut corrupted = clean.clone();
+                    corrupted[channel] = (corrupted[channel] + delta) % moduli[channel];
+                    assert!(rrns.detect(&corrupted).unwrap());
+                    // Single-channel corruption: decode must recover the
+                    // original value exactly.
+                    assert_eq!(
+                        checked.decode(&converter, &corrupted).unwrap(),
+                        value,
+                        "value {value}, channel {channel}, delta {delta}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn delta_slots_follow_the_checked_lane_table_layout() {
+        let (first, groups, channels) = (1000u64, 3usize, 5usize);
+        let mut seen = vec![false; groups * channels * rns_simd::BLOCK];
+        for jj in 0..rns_simd::BLOCK {
+            for gi in 0..groups {
+                for c in 0..channels {
+                    let word = first + ((jj * groups + gi) * channels + c) as u64;
+                    let slot = delta_slot(word, (first, groups, channels));
+                    assert_eq!(slot, (gi * channels + c) * rns_simd::BLOCK + jj);
+                    seen[slot] = true;
+                }
+            }
+        }
+        assert!(seen.iter().all(|&s| s), "the block's words cover the table");
     }
 
     #[test]

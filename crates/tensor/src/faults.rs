@@ -25,7 +25,7 @@
 //!   has one open, and the caller folds the workers' counts into its
 //!   scope after the join.
 //!
-//! Residue-channel flips ([`FaultInjector::corrupt_residue`]) are
+//! Residue-channel flips ([`FaultInjector::residue_fault_plan`]) are
 //! consumed by the RRNS-protected engine
 //! (`engines::ProtectedRnsBfpEngine`), which detects and corrects them;
 //! output corruption from [`FaultyEngine`] is *silent* by construction —
@@ -37,17 +37,34 @@
 //! The injector draws from `splitmix64(seed, draw_index)` where the
 //! draw index is a shared atomic counter. Under serial execution the
 //! sequence of draws — and therefore every injected fault — is a pure
-//! function of the seed and the request order. Under threaded execution
-//! (parallel tiles, multiple workers) each *draw* is still
-//! deterministic, but which GEMM observes which draw depends on
-//! interleaving; the protection contract (every corruption detected,
-//! corrected or surfaced) is interleaving-independent, and the
-//! deterministic tests pin the serial case. A rate of exactly `0.0`
+//! function of the seed and the request order. A rate of exactly `0.0`
 //! consumes no draws at all, so a disabled injector is free and cannot
 //! perturb the draw stream.
+//!
+//! Residue flips are drawn **once per GEMM call**:
+//! [`FaultInjector::residue_fault_plan`] reserves one contiguous range
+//! of draw indices for the call's residue words, in the canonical word
+//! order `w = ((i·n + j)·groups + gi)·C + c`, and returns the sorted
+//! list of words it corrupts. Serially, that range holds exactly the
+//! draws a per-word [`FaultInjector::corrupt_residue`] loop in
+//! canonical order would consume, so a kernel may visit the words in
+//! any order and still meet the same faults at the same words. Under
+//! threaded execution (parallel tiles, multiple workers) each call's
+//! plan is still a deterministic function of where its range starts,
+//! but which call reserves which range depends on interleaving; the
+//! protection contract (every corruption detected, corrected or
+//! surfaced) is interleaving-independent, and the deterministic tests
+//! pin the serial case.
+//!
+//! One known divergence from the per-word stream: a call that aborts on
+//! an uncorrectable group has still reserved its whole range, where a
+//! per-word loop would have stopped drawing at that group. Fault sites
+//! of later calls therefore match the per-word stream only up to the
+//! first uncorrectable call.
 
 use crate::engines::{Epilogue, GemmEngine, PreparedRhs};
 use crate::{Result, Tensor};
+use mirage_rns::Modulus;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -244,10 +261,29 @@ pub struct FaultInjector {
 /// splitmix64: a tiny, high-quality 64-bit mixer (Steele et al.),
 /// evaluated per draw index so the stream is random-access.
 fn splitmix64(index: u64, seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(index.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    splitmix64_finish(seed.wrapping_add(index.wrapping_add(1).wrapping_mul(GOLDEN_GAMMA)))
+}
+
+/// splitmix64's increment: draw `i + 1` starts from draw `i`'s state
+/// plus this constant.
+const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// splitmix64's output mix of the state `seed + (index + 1) · γ`.
+#[inline(always)]
+fn splitmix64_finish(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// A toss mask with its first `by` draws consumed: `(mask, valid)`
+/// advanced by `by ≤ valid`, or emptied when `by` reaches `valid`.
+fn shifted(mask: u64, valid: u64, by: u64) -> (u64, u64) {
+    if by >= valid {
+        (0, 0)
+    } else {
+        (mask >> by, valid - by)
+    }
 }
 
 /// Stores a clamped probability as `f64` bits in an atomic.
@@ -354,10 +390,13 @@ impl FaultInjector {
         rate > 0.0 && self.draw_unit() < rate
     }
 
-    /// Records an injection event (global totals + open scope).
-    fn note_injected(&self) {
-        self.injected.fetch_add(1, Ordering::Relaxed);
-        scope_add(|c| c.injected = c.injected.saturating_add(1));
+    /// Records `count` injection events (global totals + open scope).
+    pub(crate) fn note_injected(&self, count: u64) {
+        if count == 0 {
+            return;
+        }
+        self.injected.fetch_add(count, Ordering::Relaxed);
+        scope_add(|c| c.injected = c.injected.saturating_add(count));
     }
 
     /// Records a redundancy-check detection. Called by protected
@@ -383,16 +422,98 @@ impl FaultInjector {
     /// Maybe flips a residue channel: with probability
     /// [`FaultConfig::residue_flip_rate`], returns a uniformly wrong
     /// residue modulo `modulus` (never the original value). Returns
-    /// `None` when no fault fires. Consumed by the RRNS-protected
-    /// engine per channel per group dot.
+    /// `None` when no fault fires. The per-word reference stream that
+    /// [`FaultInjector::residue_fault_plan`] reproduces for a whole call.
     pub fn corrupt_residue(&self, residue: u64, modulus: u64) -> Option<u64> {
         if modulus < 2 || !self.toss(self.residue_flip_rate()) {
             return None;
         }
         // delta in [1, m): the corrupted residue is never the original.
         let delta = 1 + self.draw_u64() % (modulus - 1);
-        self.note_injected();
+        self.note_injected(1);
         Some((residue + delta) % modulus)
+    }
+
+    /// Plans every residue flip of one GEMM call: the `words` residue
+    /// words in canonical order, word `w` on channel `w % moduli.len()`.
+    /// Returns the corrupted words in ascending order, each with the
+    /// `delta ∈ [1, m)` that [`FaultInjector::corrupt_residue`] would
+    /// have added to it — same toss, same delta draw, same stream —
+    /// after reserving the call's draws with one atomic step. The
+    /// kernel counts a flip as injected when it applies it.
+    ///
+    /// A zero rate (or no words) returns an empty plan and draws nothing.
+    pub fn residue_fault_plan(&self, words: u64, moduli: &[Modulus]) -> Vec<ResidueFault> {
+        let rate = self.residue_flip_rate();
+        if rate <= 0.0 || words == 0 || moduli.is_empty() {
+            return Vec::new();
+        }
+        // `draw_unit() < rate` ⟺ `(x >> 11) · 2⁻⁵³ < rate` ⟺
+        // `(x >> 11) < ⌈rate · 2⁵³⌉`: both sides are exact, so the
+        // integer test makes the same decision as `toss`.
+        let threshold = (rate * (1u64 << 53) as f64).ceil() as u64;
+        let channels = moduli.len() as u64;
+        loop {
+            let start = self.draws.load(Ordering::Relaxed);
+            let mut plan = Vec::new();
+            // Walk the draw stream: each word takes one toss draw, and
+            // a fire takes the next draw for its delta. `tosses` bit `b`
+            // answers the toss test for draw `next + b`, for the
+            // `valid` draws from `next` on — 64 independent hashes per
+            // refill, each kept until the walk passes it.
+            let mut next = start;
+            let mut w = 0u64;
+            let (mut tosses, mut valid) = (0u64, 0u64);
+            while w < words {
+                if valid == 0 {
+                    tosses = self.tosses64(next, threshold);
+                    valid = 64;
+                }
+                let span = valid.min(words - w);
+                let k = u64::from(tosses.trailing_zeros());
+                if k >= span {
+                    // No fire among the next `span` words.
+                    next = next.wrapping_add(span);
+                    w += span;
+                    (tosses, valid) = shifted(tosses, valid, span);
+                    continue;
+                }
+                let word = w + k;
+                let m = moduli[(word % channels) as usize].value();
+                let x = splitmix64(next.wrapping_add(k + 1), self.seed);
+                plan.push(ResidueFault {
+                    word,
+                    delta: 1 + x % (m - 1),
+                });
+                next = next.wrapping_add(k + 2);
+                w = word + 1;
+                (tosses, valid) = shifted(tosses, valid, k + 2);
+            }
+            let used = next.wrapping_sub(start);
+            if self
+                .draws
+                .compare_exchange(start, next, Ordering::Relaxed, Ordering::Relaxed)
+                .is_ok()
+            {
+                debug_assert_eq!(used, words + plan.len() as u64);
+                return plan;
+            }
+        }
+    }
+
+    /// The toss tests `(x >> 11) < threshold` of the 64 draws from index
+    /// `first` on, as a bit mask (bit `b` for draw `first + b`).
+    #[inline(always)]
+    fn tosses64(&self, first: u64, threshold: u64) -> u64 {
+        let state = self
+            .seed
+            .wrapping_add(first.wrapping_add(1).wrapping_mul(GOLDEN_GAMMA));
+        let mut fired = 0u64;
+        for bit in 0..64u64 {
+            let x = splitmix64_finish(state.wrapping_add(bit.wrapping_mul(GOLDEN_GAMMA)));
+            fired |= u64::from((x >> 11) < threshold) << bit;
+        }
+        fired
     }
 
     /// Corrupts a finished output buffer in place: per-element low
@@ -408,7 +529,7 @@ impl FaultInjector {
                 if self.toss(rate) {
                     let bit = self.draw_u64() % 10; // low mantissa bits
                     *value = f32::from_bits(value.to_bits() ^ (1 << bit));
-                    self.note_injected();
+                    self.note_injected(1);
                     flipped += 1;
                 }
             }
@@ -417,11 +538,23 @@ impl FaultInjector {
             let index = (self.draw_u64() % out.len() as u64) as usize;
             // Bit 22: the top mantissa bit — a coarse phase-level jump.
             out[index] = f32::from_bits(out[index].to_bits() ^ (1 << 22));
-            self.note_injected();
+            self.note_injected(1);
             flipped += 1;
         }
         flipped
     }
+}
+
+/// One planned residue flip of a GEMM call (see
+/// [`FaultInjector::residue_fault_plan`]): the corrupted word's
+/// canonical index and the amount added to its residue, modulo the
+/// word's channel modulus.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ResidueFault {
+    /// Canonical word index `((i·n + j)·groups + gi)·C + c`.
+    pub word: u64,
+    /// The additive corruption, in `[1, m)`.
+    pub delta: u64,
 }
 
 /// A [`GemmEngine`] adapter that corrupts the outputs of any inner
@@ -647,6 +780,47 @@ mod tests {
         let off = Arc::new(FaultInjector::new(FaultConfig::disabled(5)));
         assert!(off.corrupt_residue(3, 31).is_none());
         assert_eq!(off.draws(), 0);
+    }
+
+    #[test]
+    fn residue_fault_plan_reproduces_the_per_word_stream() {
+        let moduli: Vec<Modulus> = [31u64, 32, 33, 37, 41]
+            .iter()
+            .map(|&m| Modulus::new(m).unwrap())
+            .collect();
+        let residue = |w: u64| w * 7 % moduli[(w % 5) as usize].value();
+        for seed in [0u64, 3, 17, 0xDEAD_BEEF] {
+            for rate in [0.0, 1e-5, 1e-3, 0.3, 1.0] {
+                for words in [0u64, 1, 2, 9, 640, 100_003] {
+                    let config = FaultConfig::disabled(seed).with_residue_flip_rate(rate);
+                    let stream = FaultInjector::new(config);
+                    // A prior draw, so the call's range starts mid-stream.
+                    stream.corrupt_residue(0, 31);
+                    let want: Vec<(u64, u64)> = (0..words)
+                        .filter_map(|w| {
+                            let m = moduli[(w % 5) as usize].value();
+                            stream.corrupt_residue(residue(w), m).map(|r| (w, r))
+                        })
+                        .collect();
+                    let planned = FaultInjector::new(config);
+                    planned.corrupt_residue(0, 31);
+                    let got: Vec<(u64, u64)> = planned
+                        .residue_fault_plan(words, &moduli)
+                        .iter()
+                        .map(|f| {
+                            let m = moduli[(f.word % 5) as usize].value();
+                            (f.word, (residue(f.word) + f.delta) % m)
+                        })
+                        .collect();
+                    let what = format!("seed {seed}, rate {rate}, {words} words");
+                    assert_eq!(got, want, "{what}");
+                    assert_eq!(planned.draws(), stream.draws(), "{what}");
+                    if rate == 0.0 {
+                        assert_eq!(planned.draws(), 0, "{what}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

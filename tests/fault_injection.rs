@@ -17,14 +17,18 @@
 //!   the clean reference (the corruption was corrected), and every
 //!   failure is the typed [`ServeError::Uncorrectable`] — no third
 //!   outcome exists.
+//! - **Threaded protection**: the protected engine under a 2-worker
+//!   [`ParallelGemm`] with narrow column tiles keeps both promises, and
+//!   the per-request fault accounting adds up to exactly what the
+//!   shared injector saw.
 
 use mirage::models::small::small_mlp;
 use mirage::nn::{Engines, Sequential};
 use mirage::tensor::engines::ExactEngine;
-use mirage::tensor::Tensor;
+use mirage::tensor::{ParallelGemm, Tensor, TileConfig};
 use mirage::{
-    BatchMode, FaultConfig, FaultInjector, FaultyEngine, Mirage, ModelServer, RequestStats,
-    ServeError, ServerConfig, ShardPlan, ShardSpec,
+    BatchMode, FaultConfig, FaultCounts, FaultInjector, FaultyEngine, Mirage, ModelServer,
+    RequestStats, ServeError, ServerConfig, ShardPlan, ShardSpec,
 };
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -328,4 +332,107 @@ fn protected_serving_corrects_or_refuses_but_never_lies() {
             server.join();
         }
     }
+}
+
+#[test]
+fn threaded_protected_serving_accounts_for_every_flip() {
+    // A 256-wide layer at batch 1 is big enough for two workers, and
+    // 32-column tiles give every worker several protected calls, each
+    // planning the flips of its own tile.
+    let mirage = Mirage::paper_default();
+    let tiles = TileConfig {
+        tile_m: 0,
+        tile_n: 32,
+        tile_k: 0,
+        threads: 2,
+    };
+    let clean = clean_stack(&mirage, "rns-bfp-protected");
+    let mut corrected_total = 0u64;
+    for seed in 0..3u64 {
+        let injector = Arc::new(FaultInjector::new(
+            FaultConfig::disabled(9700 + seed).with_residue_flip_rate(1e-4),
+        ));
+        let parallel = ParallelGemm::new(
+            mirage
+                .protected_rns_gemm_engine(&REDUNDANT)
+                .expect("redundant moduli")
+                .with_injector(Arc::clone(&injector)),
+            tiles,
+        );
+        let workers = parallel.planned_workers(1, 256, 256);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(9800);
+        let mut net: Sequential = small_mlp(256, 256, 10, &mut rng);
+        let model = Arc::new(
+            net.compile(&Engines::uniform(parallel))
+                .expect("mlp compiles"),
+        );
+        let pool: Vec<(Tensor, Tensor)> = (0..12)
+            .map(|_| {
+                let x = Tensor::randn(&[1, 256], 1.0, &mut rng);
+                let y = net.forward(&x, &clean).expect("clean eager forward");
+                (x, y)
+            })
+            .collect();
+        let before = injector.counts();
+        let server = ModelServer::new(model, server_config(BatchMode::PerItem)).expect("starts");
+        let mut summed = FaultCounts::ZERO;
+        let mut failed = 0u64;
+        for (outcome, expected) in serve_pool(&server, &pool) {
+            match outcome {
+                Ok((output, stats)) => {
+                    assert_eq!(
+                        output.data(),
+                        expected.data(),
+                        "seed {seed}, {workers} workers: an Ok response under protection \
+                         must be bit-identical"
+                    );
+                    summed.accumulate(stats.faults);
+                }
+                // Every detection ends corrected or uncorrectable.
+                Err(ServeError::Uncorrectable {
+                    detected,
+                    corrected,
+                }) => {
+                    failed += 1;
+                    summed.accumulate(FaultCounts {
+                        injected: 0,
+                        detected,
+                        corrected,
+                        uncorrectable: detected - corrected,
+                    });
+                }
+                Err(other) => panic!("seed {seed}: unexpected error {other:?}"),
+            }
+        }
+        let stats = server.stats();
+        server.join();
+        let after = injector.counts();
+        let delta = FaultCounts {
+            injected: after.injected - before.injected,
+            detected: after.detected - before.detected,
+            corrected: after.corrected - before.corrected,
+            uncorrectable: after.uncorrectable - before.uncorrectable,
+        };
+        assert_eq!(stats.failed, failed, "seed {seed}");
+        assert_eq!(
+            stats.faults, delta,
+            "seed {seed}: server totals vs injector"
+        );
+        // A refused request reports no injected count of its own.
+        if failed == 0 {
+            assert_eq!(summed, delta, "seed {seed}: per-request sums vs injector");
+        } else {
+            assert!(summed.injected <= delta.injected, "seed {seed}");
+            assert_eq!(
+                (summed.detected, summed.corrected, summed.uncorrectable),
+                (delta.detected, delta.corrected, delta.uncorrectable),
+                "seed {seed}"
+            );
+        }
+        corrected_total += delta.corrected;
+    }
+    assert!(
+        corrected_total > 0,
+        "the threaded sweep must correct at least one flip"
+    );
 }
