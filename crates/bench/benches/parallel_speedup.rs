@@ -139,6 +139,7 @@ fn main() {
     // Batched inference: 16 activation matrices against one weight,
     // serial loop vs one amortized thread scope.
     let mirage = Mirage::paper_default();
+    let batch_engine = mirage.parallel_gemm_engine();
     let weight = Tensor::randn(&[K, N], 1.0, &mut rng);
     let batch: Vec<Tensor> = (0..16)
         .map(|_| Tensor::randn(&[64, K], 1.0, &mut rng))
@@ -149,7 +150,7 @@ fn main() {
             .iter()
             .map(|x| serial_engine.gemm(x, &weight).unwrap())
             .collect();
-        let batched = mirage.infer_batch(&batch, &weight).unwrap();
+        let batched = batch_engine.gemm_batch(&batch, &weight).unwrap();
         for (s, p) in serial_batch.iter().zip(&batched) {
             assert_eq!(s.data(), p.data(), "batched inference diverged");
         }
@@ -159,7 +160,7 @@ fn main() {
             }
         });
         let t_batched = best_of(reps(3), || {
-            black_box(mirage.infer_batch(black_box(&batch), &weight).unwrap());
+            black_box(batch_engine.gemm_batch(black_box(&batch), &weight).unwrap());
         });
         rows.push(vec![
             "mirage-bfp (batch 16)".into(),
@@ -317,7 +318,7 @@ fn main() {
         bch.iter(|| parallel_bfp.gemm(black_box(&a), black_box(&b)).unwrap())
     });
     c.bench_function("parallel/infer_batch_16", |bch| {
-        bch.iter(|| mirage.infer_batch(black_box(&batch), &weight).unwrap())
+        bch.iter(|| batch_engine.gemm_batch(black_box(&batch), &weight).unwrap())
     });
     c.bench_function("prepared/serial_bfp_256", |bch| {
         bch.iter(|| {

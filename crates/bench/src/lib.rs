@@ -22,7 +22,6 @@
 //! | Parallel/prepared perf trajectory | `parallel_speedup` (`BENCH_parallel.json`) |
 //! | Packed-kernel perf trajectory | `kernel_microbench` (`BENCH_kernels.json`) |
 //! | Compiled-model serving trajectory | `serving_bench` (`BENCH_serving.json`) |
-//! | Online serving under concurrent load | `load_bench` (`BENCH_load.json`) |
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -64,40 +64,8 @@ impl Mirage {
     /// Like [`Mirage::parallel_gemm_engine`] with an explicit
     /// [`TileConfig`] (pin thread counts in benchmarks, force serial in
     /// bit-exactness baselines).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`mirage_tensor::TensorError::InvalidGeometry`] when the
-    /// tiling is invalid for this accelerator's BFP operating point: a
-    /// nonzero `tile_k` that is not a multiple of the group size `g`
-    /// would move quantization group boundaries — a silent accuracy
-    /// change — so it is rejected here (see [`TileConfig::validate`]).
-    pub fn parallel_gemm_engine_with(
-        &self,
-        config: TileConfig,
-    ) -> TensorResult<ParallelGemm<BfpEngine>> {
-        config.validate(&self.bfp_config())?;
-        Ok(ParallelGemm::new(self.gemm_engine(), config))
-    }
-
-    /// Batched inference through the Mirage arithmetic: computes
-    /// `inputs[i] · weight` for the whole batch inside one thread scope,
-    /// amortizing shape validation, worker spawn **and the weight-side
-    /// BFP quantization** across the batch — the paper's batched
-    /// workload model (Table III runs inference at batch size 1–128).
-    /// Results are bit-identical to issuing the GEMMs one by one on
-    /// [`Mirage::gemm_engine`]. An empty batch returns an empty `Vec`.
-    ///
-    /// Each call still prepares the weight once; to amortize across
-    /// calls as well (millions of requests against static weights),
-    /// prepare it with [`Mirage::prepare_weight`] or compile the model
-    /// ([`Mirage::compile`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape-validation and engine errors for any item.
-    pub fn infer_batch(&self, inputs: &[Tensor], weight: &Tensor) -> TensorResult<Vec<Tensor>> {
-        self.parallel_gemm_engine().gemm_batch(inputs, weight)
+    pub fn parallel_gemm_engine_with(&self, config: TileConfig) -> ParallelGemm<BfpEngine> {
+        ParallelGemm::new(self.gemm_engine(), config)
     }
 
     /// Prepares (quantizes) a weight matrix once for repeated inference
@@ -136,16 +104,13 @@ impl Mirage {
     ///
     /// # Errors
     ///
-    /// Returns [`mirage_tensor::TensorError::InvalidGeometry`] when the
-    /// tiling is invalid for this accelerator's BFP operating point,
-    /// plus the [`Mirage::compile`] errors.
+    /// The [`Mirage::compile`] errors.
     pub fn compile_with(
         &self,
         net: &Sequential,
         config: TileConfig,
     ) -> mirage_nn::Result<CompiledNetwork> {
-        let engine = self.parallel_gemm_engine_with(config)?;
-        net.compile(&Engines::uniform(engine))
+        net.compile(&Engines::uniform(self.parallel_gemm_engine_with(config)))
     }
 
     /// Compiles `net` and re-places it across simulated accelerator
@@ -176,12 +141,7 @@ impl Mirage {
     }
 
     /// Like [`Mirage::model_session`] with an explicit [`TileConfig`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`mirage_tensor::TensorError::InvalidGeometry`] when the
-    /// tiling is invalid for this accelerator's BFP operating point.
-    pub fn model_session_with(&self, config: TileConfig) -> TensorResult<ModelSession> {
+    pub fn model_session_with(&self, config: TileConfig) -> ModelSession {
         ModelSession::with_tile_config(self, config)
     }
 
@@ -309,7 +269,6 @@ mod tests {
         let serial = mirage.gemm_engine().gemm(&a, &b).unwrap();
         let parallel = mirage
             .parallel_gemm_engine_with(TileConfig::auto().with_threads(4))
-            .unwrap()
             .gemm(&a, &b)
             .unwrap();
         assert_eq!(parallel.data(), serial.data());
@@ -318,27 +277,28 @@ mod tests {
     }
 
     #[test]
-    fn infer_batch_matches_per_item_gemms() {
+    fn gemm_batch_matches_per_item_gemms() {
         let mirage = Mirage::paper_default();
         let mut rng = rand::rngs::StdRng::seed_from_u64(125);
         let weight = Tensor::randn(&[32, 10], 1.0, &mut rng);
         let inputs: Vec<Tensor> = (0..5)
             .map(|_| Tensor::randn(&[8, 32], 1.0, &mut rng))
             .collect();
-        let batch = mirage.infer_batch(&inputs, &weight).unwrap();
+        let engine = mirage.parallel_gemm_engine();
+        let batch = engine.gemm_batch(&inputs, &weight).unwrap();
         assert_eq!(batch.len(), inputs.len());
         let serial = mirage.gemm_engine();
         for (input, got) in inputs.iter().zip(&batch) {
             assert_eq!(got.data(), serial.gemm(input, &weight).unwrap().data());
         }
         // Shape errors surface for the whole batch.
-        assert!(mirage
-            .infer_batch(&[Tensor::zeros(&[2, 3])], &weight)
+        assert!(engine
+            .gemm_batch(&[Tensor::zeros(&[2, 3])], &weight)
             .is_err());
         // Empty batches and zero-row items are well-formed, not panics.
-        assert!(mirage.infer_batch(&[], &weight).unwrap().is_empty());
-        let empty_item = mirage
-            .infer_batch(&[Tensor::zeros(&[0, 32])], &weight)
+        assert!(engine.gemm_batch(&[], &weight).unwrap().is_empty());
+        let empty_item = engine
+            .gemm_batch(&[Tensor::zeros(&[0, 32])], &weight)
             .unwrap();
         assert_eq!(empty_item[0].shape(), &[0, 10]);
     }
@@ -357,19 +317,6 @@ mod tests {
                 mirage.gemm_engine().gemm(&x, &weight).unwrap().data()
             );
         }
-    }
-
-    #[test]
-    fn misaligned_tile_k_is_rejected_by_constructors() {
-        let mirage = Mirage::paper_default();
-        let mut config = TileConfig::auto();
-        config.tile_k = 24; // g = 16: would move group boundaries
-        assert!(mirage.parallel_gemm_engine_with(config).is_err());
-        assert!(mirage.model_session_with(config).is_err());
-        config.tile_k = 32; // multiple of g: allowed
-        assert!(mirage.parallel_gemm_engine_with(config).is_ok());
-        config.tile_k = 0; // never split: allowed
-        assert!(mirage.parallel_gemm_engine_with(config).is_ok());
     }
 
     #[test]

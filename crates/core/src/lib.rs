@@ -28,8 +28,8 @@
 //! GEMMs run on the tiled multi-threaded execution layer by default:
 //! [`Mirage::training_engines`] and [`Mirage::parallel_gemm_engine`]
 //! wrap the BFP arithmetic in `mirage_tensor::parallel::ParallelGemm`
-//! (bit-identical to serial), and [`Mirage::infer_batch`] amortizes
-//! setup across a whole inference batch inside one thread scope.
+//! (bit-identical to serial), and its `gemm_batch` amortizes setup
+//! across a whole inference batch inside one thread scope.
 //!
 //! ```
 //! use mirage_core::Mirage;

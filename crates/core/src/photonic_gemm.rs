@@ -3,7 +3,7 @@
 use mirage_arch::MirageConfig;
 use mirage_bfp::{pow2, BfpConfig, PackedBfpMatrix};
 use mirage_photonics::RnsMmvmu;
-use mirage_tensor::engines::{gemm_raw_into, BfpEngine, Epilogue, GemmEngine, PreparedRhs};
+use mirage_tensor::engines::{BfpEngine, Epilogue, GemmEngine, PreparedRhs};
 use mirage_tensor::{Result, Tensor, TensorError};
 use std::sync::Arc;
 
@@ -195,19 +195,21 @@ impl GemmEngine for PhotonicGemmEngine {
     /// Quantizes, packs and widens the streamed operand once; repeated
     /// calls only quantize the stationary side.
     fn prepare(&self, b: &Tensor) -> Result<PreparedRhs> {
-        let prepared = PreparedRhs::from_raw(self.name(), b)?;
         let packed = stream_cols(b, self.bfp)?;
-        Ok(prepared.with_state(Arc::new(PreparedPhotonicCols {
-            bfp: self.bfp,
-            packed,
-        })))
+        PreparedRhs::new(
+            self.name(),
+            b,
+            Arc::new(PreparedPhotonicCols {
+                bfp: self.bfp,
+                packed,
+            }),
+        )
     }
 
     /// Streams the pre-packed columns through the simulated device,
     /// writing straight into the caller's buffer, then applies the
-    /// epilogue in one pass. Falls back to
-    /// [`PhotonicGemmEngine::gemm`] on preparations from other engines
-    /// or other BFP operating points.
+    /// epilogue in one pass. Preparations from other engines or other
+    /// BFP operating points are [`TensorError::ForeignPreparation`].
     fn gemm_prepared_epilogue_into(
         &self,
         a: &Tensor,
@@ -215,15 +217,13 @@ impl GemmEngine for PhotonicGemmEngine {
         epilogue: &Epilogue<'_>,
         out: &mut Vec<f32>,
     ) -> Result<(usize, usize)> {
-        match b.state_for::<PreparedPhotonicCols>(self.name()) {
-            Some(state) if state.bfp == self.bfp => {
-                let (_m, _k, n) = dims(a, b.raw())?;
-                let m = self.gemm_with_packed_into(a, &state.packed, b.col_start(), n, out)?;
-                epilogue.apply(out, m, n)?;
-                Ok((m, n))
-            }
-            _ => gemm_raw_into(self, a, b, epilogue, out),
-        }
+        let (_m, _k, n) = b.dims(a)?;
+        let state = b.state_for(self.name(), |state: &PreparedPhotonicCols| {
+            state.bfp == self.bfp
+        })?;
+        let m = self.gemm_with_packed_into(a, &state.packed, b.col_start(), n, out)?;
+        epilogue.apply(out, m, n)?;
+        Ok((m, n))
     }
 }
 
@@ -304,7 +304,6 @@ mod tests {
             .parallel_with(TileConfig {
                 tile_m: 16,
                 tile_n: 8,
-                tile_k: 0,
                 threads: 4,
             })
             .gemm(&a, &b)
@@ -325,14 +324,15 @@ mod tests {
                 engine.gemm(&a, &b).unwrap().data()
             );
         }
-        // A foreign preparation falls back to the raw matrix.
-        let foreign = BfpEngine::new(BfpConfig::new(8, 16).unwrap())
-            .prepare(&b)
-            .unwrap();
+        // A foreign preparation is a typed error, not a recomputation.
+        let foreign = BfpEngine::new(engine.bfp_config()).prepare(&b).unwrap();
         let a = Tensor::randn(&[5, 33], 1.0, &mut rng);
         assert_eq!(
-            engine.gemm_prepared(&a, &foreign).unwrap().data(),
-            engine.gemm(&a, &b).unwrap().data()
+            engine.gemm_prepared(&a, &foreign).unwrap_err(),
+            TensorError::ForeignPreparation {
+                prepared_by: "mirage-bfp",
+                engine: "mirage-photonic",
+            }
         );
     }
 

@@ -52,7 +52,7 @@
 //!   parallel layer never splits `k`. Plans that mix rows (e.g. raw
 //!   `SelfAttention` over a sequence) must use `PerItem`; `Stack` is
 //!   opt-in for exactly this reason. The concurrent load harness
-//!   (`tests/serving_load.rs`, `load_bench`) asserts the equality
+//!   (`tests/serving_load.rs`) asserts the equality
 //!   mechanically on every engine.
 //!
 //! Sharded plans need no special casing here: a tensor- or

@@ -509,7 +509,6 @@ mod tests {
         let tiled = ExactEngine.parallel_with(TileConfig {
             tile_m: 32,
             tile_n: 4,
-            tile_k: 0,
             threads: 4,
         });
         let parallel = conv2d_forward(&x, &wt, &g, &tiled).unwrap();

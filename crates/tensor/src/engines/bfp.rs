@@ -1,6 +1,6 @@
 //! Mirage's BFP-quantized GEMM engine.
 
-use super::{gemm_dims, gemm_raw_into, Epilogue, GemmEngine, PreparedRhs};
+use super::{gemm_dims, Epilogue, GemmEngine, PreparedRhs};
 use crate::{Result, Tensor, TensorError};
 use mirage_bfp::{
     group_dot, group_dot_i16, group_dot_i32, pow2, BfpBlock, BfpConfig, GemmTail, PackedBfpMatrix,
@@ -452,12 +452,15 @@ impl GemmEngine for BfpEngine {
     /// Packs the columns of `B` into one contiguous quantized buffer
     /// exactly once.
     fn prepare(&self, b: &Tensor) -> Result<PreparedRhs> {
-        let prepared = PreparedRhs::from_raw(self.name(), b)?;
         let packed = Self::pack_cols(b, self.config)?;
-        Ok(prepared.with_state(Arc::new(PreparedBfpCols {
-            config: self.config,
-            packed,
-        })))
+        PreparedRhs::new(
+            self.name(),
+            b,
+            Arc::new(PreparedBfpCols {
+                config: self.config,
+                packed,
+            }),
+        )
     }
 
     /// Reuses the pre-packed columns — only the rows of `A` touch the
@@ -465,10 +468,9 @@ impl GemmEngine for BfpEngine {
     /// the kernel's output write (see [`GemmTail`]): the accumulator is
     /// still in registers when the tail applies, so the fused step
     /// costs zero extra passes over the activation. Residual epilogues
-    /// run as one pass after the kernel, and foreign preparations fall
-    /// back to [`BfpEngine::gemm`] on the raw matrix — both
-    /// bit-identical, so callers can't tell the difference except in
-    /// time.
+    /// run as one pass after the kernel, bit-identically. Preparations
+    /// from other engines or at another [`BfpConfig`] are
+    /// [`TensorError::ForeignPreparation`].
     fn gemm_prepared_epilogue_into(
         &self,
         a: &Tensor,
@@ -476,9 +478,9 @@ impl GemmEngine for BfpEngine {
         epilogue: &Epilogue<'_>,
         out: &mut Vec<f32>,
     ) -> Result<(usize, usize)> {
-        let (_m, _k, n) = gemm_dims(a, b.raw())?;
+        let (_m, _k, n) = b.dims(a)?;
         // Same shape contract `Epilogue::apply` enforces, checked up
-        // front so the fused and fallback paths reject identically.
+        // front so the fused and unfused paths reject identically.
         if let Some(bias) = epilogue.bias() {
             if bias.len() != n {
                 return Err(TensorError::DimMismatch {
@@ -487,12 +489,9 @@ impl GemmEngine for BfpEngine {
                 });
             }
         }
-        let Some(state) = b
-            .state_for::<PreparedBfpCols>(self.name())
-            .filter(|state| state.config == self.config)
-        else {
-            return gemm_raw_into(self, a, b, epilogue, out);
-        };
+        let state = b.state_for(self.name(), |state: &PreparedBfpCols| {
+            state.config == self.config
+        })?;
         let fused = epilogue.residual().is_none();
         let tail = if fused {
             GemmTail {
@@ -644,30 +643,6 @@ mod tests {
     fn column_windows_share_the_packed_buffer() {
         crate::engines::prepared::check_column_windows(
             &BfpEngine::new(BfpConfig::mirage_default()),
-            &BfpEngine::new(BfpConfig::new(8, 16).unwrap()),
-        );
-    }
-
-    #[test]
-    fn foreign_preparation_falls_back_to_raw() {
-        // A weight prepared at one operating point, consumed by an
-        // engine at another: results must match the consumer's own
-        // gemm, not the preparer's.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(10);
-        let a = Tensor::randn(&[4, 32], 1.0, &mut rng);
-        let b = Tensor::randn(&[32, 4], 1.0, &mut rng);
-        let coarse = BfpEngine::new(BfpConfig::new(3, 16).unwrap());
-        let fine = BfpEngine::new(BfpConfig::new(8, 16).unwrap());
-        let prepared_coarse = coarse.prepare(&b).unwrap();
-        assert_eq!(
-            fine.gemm_prepared(&a, &prepared_coarse).unwrap().data(),
-            fine.gemm(&a, &b).unwrap().data()
-        );
-        // And a preparation from a different engine entirely.
-        let exact_prep = crate::engines::ExactEngine.prepare(&b).unwrap();
-        assert_eq!(
-            fine.gemm_prepared(&a, &exact_prep).unwrap().data(),
-            fine.gemm(&a, &b).unwrap().data()
         );
     }
 }

@@ -82,9 +82,11 @@ pub trait GemmEngine: Send + Sync {
     /// step of every production GEMM library.
     ///
     /// Quantizing engines override this to do their B-side work
-    /// (quantize BFP groups, pre-convert RNS residues) exactly once; the
-    /// default implementation just validates and wraps the raw matrix,
-    /// so every engine supports the prepared API out of the box.
+    /// (quantize BFP groups, pre-convert RNS residues) exactly once and
+    /// keep only that state. The default implementation validates the
+    /// raw matrix and keeps it *as* the state — a stateless engine's one
+    /// representation — so every engine supports the prepared API out
+    /// of the box. Only the preparing engine consumes the result.
     ///
     /// **Contract:** for any engine, `gemm_prepared(a, &prepare(b)?)`
     /// must be **bit-identical** to `gemm(a, b)` — preparation is a
@@ -139,11 +141,11 @@ pub trait GemmEngine: Send + Sync {
     /// B-side state instead of re-deriving it.
     ///
     /// Bit-identical to [`GemmEngine::gemm`] on the matrix the value was
-    /// prepared from (see the contract on [`GemmEngine::prepare`]). An
-    /// engine handed a preparation it does not recognize — produced by a
-    /// different engine or a differently-configured instance — falls
-    /// back to `gemm(a, b.raw())`, so results never depend on *which*
-    /// engine prepared the weight.
+    /// prepared from (see the contract on [`GemmEngine::prepare`]). A
+    /// preparation this engine did not make — produced by a different
+    /// engine or a differently-configured instance — is rejected with
+    /// [`TensorError::ForeignPreparation`]: it carries no representation
+    /// this engine could compute from.
     ///
     /// Routes through [`GemmEngine::gemm_prepared_into`] into a fresh
     /// buffer; engines implement the primitive
@@ -151,7 +153,8 @@ pub trait GemmEngine: Send + Sync {
     ///
     /// # Errors
     ///
-    /// Returns the same shape-validation errors as [`GemmEngine::gemm`];
+    /// Returns the same shape-validation errors as [`GemmEngine::gemm`]
+    /// ([`PreparedRhs::dims`]) and [`TensorError::ForeignPreparation`];
     /// engines may propagate their own arithmetic errors.
     fn gemm_prepared(&self, a: &Tensor, b: &PreparedRhs) -> Result<Tensor> {
         let mut out = Vec::new();
@@ -194,10 +197,11 @@ pub trait GemmEngine: Send + Sync {
     /// ReLU) with the same scalar expressions, so fusion changes
     /// traversal, never arithmetic.
     ///
-    /// The default runs `gemm(a, b.raw())`, copies the result into
-    /// `out` and applies the epilogue ([`gemm_raw_into`]) — the whole
-    /// prepared surface for stateless engines, and the fallback every
-    /// stateful engine takes on a preparation it does not recognize.
+    /// The default runs `gemm` on the raw matrix the default
+    /// [`GemmEngine::prepare`] kept, copies the result into `out` and
+    /// applies the epilogue ([`gemm_raw_into`]) — the whole prepared
+    /// surface for stateless engines. Engines that override `prepare`
+    /// override this too.
     ///
     /// # Errors
     ///
@@ -280,16 +284,17 @@ macro_rules! forward_engine {
 forward_engine!(Arc);
 forward_engine!(Box);
 
-/// The unprepared route of the prepared-GEMM primitive: `gemm` on the
-/// raw matrix, copied into `out` (keeping the caller's allocation),
-/// then the epilogue. The trait default of
-/// [`GemmEngine::gemm_prepared_epilogue_into`], and the fallback
-/// stateful engines take for a preparation they do not recognize.
+/// The prepared-GEMM primitive of a stateless engine: `gemm` on the
+/// raw matrix the default [`GemmEngine::prepare`] kept as the state,
+/// copied into `out` (keeping the caller's allocation), then the
+/// epilogue. The trait default of
+/// [`GemmEngine::gemm_prepared_epilogue_into`].
 ///
 /// # Errors
 ///
-/// Propagates `engine.gemm`'s errors and [`Epilogue::apply`]'s shape
-/// errors.
+/// Returns [`TensorError::ForeignPreparation`] unless `engine` made
+/// `b` with the default preparation; propagates `engine.gemm`'s errors
+/// and [`Epilogue::apply`]'s shape errors.
 pub fn gemm_raw_into<E: GemmEngine + ?Sized>(
     engine: &E,
     a: &Tensor,
@@ -297,7 +302,7 @@ pub fn gemm_raw_into<E: GemmEngine + ?Sized>(
     epilogue: &Epilogue<'_>,
     out: &mut Vec<f32>,
 ) -> Result<(usize, usize)> {
-    let y = engine.gemm(a, b.raw())?;
+    let y = engine.gemm(a, b.state_for::<Tensor>(engine.name(), |_| true)?)?;
     let (m, n) = (y.shape()[0], y.shape()[1]);
     out.clear();
     out.extend_from_slice(y.data());

@@ -65,7 +65,7 @@
 
 use super::bfp::BfpEngine;
 use super::rns_bfp::{Checked, PackedRnsMatrix};
-use super::{gemm_dims, gemm_raw_into, Epilogue, GemmEngine, PreparedRhs, RnsBfpEngine};
+use super::{gemm_dims, Epilogue, GemmEngine, PreparedRhs, RnsBfpEngine};
 use crate::faults::FaultInjector;
 use crate::{Result, Tensor, TensorError};
 use mirage_bfp::BfpConfig;
@@ -276,20 +276,24 @@ impl GemmEngine for ProtectedRnsBfpEngine {
     /// quantizer nor the forward converter for the weights, redundant
     /// channels included.
     fn prepare(&self, b: &Tensor) -> Result<PreparedRhs> {
-        let prepared = PreparedRhs::from_raw(self.name(), b)?;
         let packed = self.pack_cols(b)?;
-        Ok(prepared.with_state(Arc::new(PreparedProtectedCols {
-            config: self.config(),
-            full: self.rrns.full_set().clone(),
-            packed,
-        })))
+        PreparedRhs::new(
+            self.name(),
+            b,
+            Arc::new(PreparedProtectedCols {
+                config: self.config(),
+                full: self.rrns.full_set().clone(),
+                packed,
+            }),
+        )
     }
 
     /// Reuses pre-converted weight planes: the protected kernel writes
     /// straight into the caller's buffer, and the epilogue runs only
     /// once every group has decoded (an uncorrectable group returns its
-    /// typed error first). Falls back to
-    /// [`ProtectedRnsBfpEngine::gemm`] on foreign preparations.
+    /// typed error first). Preparations from other engines, other
+    /// operating points or another RRNS full set are
+    /// [`TensorError::ForeignPreparation`].
     fn gemm_prepared_epilogue_into(
         &self,
         a: &Tensor,
@@ -297,22 +301,20 @@ impl GemmEngine for ProtectedRnsBfpEngine {
         epilogue: &Epilogue<'_>,
         out: &mut Vec<f32>,
     ) -> Result<(usize, usize)> {
-        match b.state_for::<PreparedProtectedCols>(self.name()) {
-            Some(state) if state.config == self.config() && state.full == *self.rrns.full_set() => {
-                let (_m, _k, n) = gemm_dims(a, b.raw())?;
-                let m = self.base.gemm_with_packed_into(
-                    a,
-                    &state.packed,
-                    b.col_start(),
-                    n,
-                    out,
-                    &self.checked(),
-                )?;
-                epilogue.apply(out, m, n)?;
-                Ok((m, n))
-            }
-            _ => gemm_raw_into(self, a, b, epilogue, out),
-        }
+        let (_m, _k, n) = b.dims(a)?;
+        let state = b.state_for(self.name(), |state: &PreparedProtectedCols| {
+            state.config == self.config() && state.full == *self.rrns.full_set()
+        })?;
+        let m = self.base.gemm_with_packed_into(
+            a,
+            &state.packed,
+            b.col_start(),
+            n,
+            out,
+            &self.checked(),
+        )?;
+        epilogue.apply(out, m, n)?;
+        Ok((m, n))
     }
 }
 
@@ -410,21 +412,9 @@ mod tests {
 
     #[test]
     fn column_windows_share_the_residue_planes() {
-        let cfg3 = BfpConfig::new(3, 16).unwrap();
         crate::engines::prepared::check_column_windows(
             &ProtectedRnsBfpEngine::with_min_special_set(cfg()).unwrap(),
-            &ProtectedRnsBfpEngine::with_min_special_set(cfg3).unwrap(),
         );
-    }
-
-    #[test]
-    fn foreign_preparations_fall_back_to_the_full_gemm() {
-        let protected = ProtectedRnsBfpEngine::with_min_special_set(cfg()).unwrap();
-        let unprotected = RnsBfpEngine::with_min_special_set(cfg()).unwrap();
-        let (a, b) = operands(55, 3, 16, 4);
-        let foreign = unprotected.prepare(&b).unwrap();
-        let y = protected.gemm_prepared(&a, &foreign).unwrap();
-        assert_eq!(y.data(), protected.gemm(&a, &b).unwrap().data());
     }
 
     #[test]

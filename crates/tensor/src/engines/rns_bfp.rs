@@ -1,7 +1,7 @@
 //! BFP GEMM routed bit-exactly through RNS residues.
 
 use super::bfp::BfpEngine;
-use super::{gemm_dims, gemm_raw_into, Epilogue, GemmEngine, PreparedRhs};
+use super::{gemm_dims, Epilogue, GemmEngine, PreparedRhs};
 use crate::faults::{FaultInjector, ResidueFault};
 use crate::{Result, Tensor, TensorError};
 use mirage_bfp::{pow2, BfpConfig, PackedBfpMatrix, SimdPolicy, SimdTier};
@@ -885,19 +885,22 @@ impl GemmEngine for RnsBfpEngine {
     /// pays neither the quantizer nor the forward converter for the
     /// weights.
     fn prepare(&self, b: &Tensor) -> Result<PreparedRhs> {
-        let prepared = PreparedRhs::from_raw(self.name(), b)?;
         let packed = self.pack_cols(b)?;
-        Ok(prepared.with_state(Arc::new(PreparedRnsCols {
-            config: self.config,
-            moduli: self.moduli.clone(),
-            packed,
-        })))
+        PreparedRhs::new(
+            self.name(),
+            b,
+            Arc::new(PreparedRnsCols {
+                config: self.config,
+                moduli: self.moduli.clone(),
+                packed,
+            }),
+        )
     }
 
     /// Reuses pre-converted weight residue planes, writing straight into
-    /// the caller's buffer, then applies the epilogue in one pass. Falls
-    /// back to [`RnsBfpEngine::gemm`] on preparations from other
-    /// engines, other operating points, or other moduli sets.
+    /// the caller's buffer, then applies the epilogue in one pass.
+    /// Preparations from other engines, other operating points or other
+    /// moduli sets are [`TensorError::ForeignPreparation`].
     fn gemm_prepared_epilogue_into(
         &self,
         a: &Tensor,
@@ -905,15 +908,13 @@ impl GemmEngine for RnsBfpEngine {
         epilogue: &Epilogue<'_>,
         out: &mut Vec<f32>,
     ) -> Result<(usize, usize)> {
-        match b.state_for::<PreparedRnsCols>(self.name()) {
-            Some(state) if state.config == self.config && state.moduli == self.moduli => {
-                let (_m, _k, n) = gemm_dims(a, b.raw())?;
-                let m = self.gemm_with_packed_into(a, &state.packed, b.col_start(), n, out, &())?;
-                epilogue.apply(out, m, n)?;
-                Ok((m, n))
-            }
-            _ => gemm_raw_into(self, a, b, epilogue, out),
-        }
+        let (_m, _k, n) = b.dims(a)?;
+        let state = b.state_for(self.name(), |state: &PreparedRnsCols| {
+            state.config == self.config && state.moduli == self.moduli
+        })?;
+        let m = self.gemm_with_packed_into(a, &state.packed, b.col_start(), n, out, &())?;
+        epilogue.apply(out, m, n)?;
+        Ok((m, n))
     }
 }
 
@@ -998,7 +999,6 @@ mod tests {
         let cfg = BfpConfig::mirage_default();
         crate::engines::prepared::check_column_windows(
             &RnsBfpEngine::with_min_special_set(cfg).unwrap(),
-            &RnsBfpEngine::new(cfg, ModuliSet::new(&[11, 13, 16, 9]).unwrap()).unwrap(),
         );
     }
 
@@ -1056,23 +1056,6 @@ mod tests {
                 rns.gemm(&a, &b).unwrap().data()
             );
         }
-    }
-
-    #[test]
-    fn prepared_from_different_moduli_falls_back() {
-        // Same BFP point, different moduli sets: the consumer must not
-        // interpret residues reduced by the wrong moduli.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(24);
-        let cfg = BfpConfig::new(4, 16).unwrap();
-        let special = RnsBfpEngine::with_min_special_set(cfg).unwrap();
-        let coprime = RnsBfpEngine::new(cfg, ModuliSet::new(&[11, 13, 16, 9]).unwrap()).unwrap();
-        let a = Tensor::randn(&[4, 32], 1.0, &mut rng);
-        let b = Tensor::randn(&[32, 4], 1.0, &mut rng);
-        let foreign = coprime.prepare(&b).unwrap();
-        assert_eq!(
-            special.gemm_prepared(&a, &foreign).unwrap().data(),
-            special.gemm(&a, &b).unwrap().data()
-        );
     }
 
     #[test]

@@ -43,6 +43,16 @@ pub enum TensorError {
         /// The key that was looked up.
         name: String,
     },
+    /// A prepared weight reached an engine that did not prepare it:
+    /// another engine, or the same engine at another operating point
+    /// (BFP configuration, moduli set, RRNS full set). A preparation
+    /// carries only its engine's state, so only that engine consumes it.
+    ForeignPreparation {
+        /// Name of the engine that prepared the weight.
+        prepared_by: &'static str,
+        /// Name of the engine it was handed to.
+        engine: &'static str,
+    },
     /// Propagated BFP error from a quantized engine.
     Bfp(mirage_bfp::BfpError),
     /// Propagated RNS error from the RNS-backed engine.
@@ -72,6 +82,15 @@ impl fmt::Display for TensorError {
                      this key (load it into the session first)"
                 )
             }
+            TensorError::ForeignPreparation {
+                prepared_by,
+                engine,
+            } => write!(
+                f,
+                "weight prepared by {prepared_by} cannot run on {engine} (another \
+                 engine, or the same engine at another operating point): prepare it \
+                 with the engine that consumes it"
+            ),
             TensorError::Bfp(e) => write!(f, "bfp error: {e}"),
             TensorError::Rns(e) => write!(f, "rns error: {e}"),
         }
@@ -128,5 +147,10 @@ mod tests {
             right: vec![3],
         };
         assert!(e.to_string().contains("mismatch"));
+        let e = TensorError::ForeignPreparation {
+            prepared_by: "fp32",
+            engine: "mirage-bfp",
+        };
+        assert!(e.to_string().contains("fp32") && e.to_string().contains("mirage-bfp"));
     }
 }

@@ -20,14 +20,6 @@
 //! `tile_invariant() == false` and transparently fall back to their
 //! serial path.
 //!
-//! Setting [`TileConfig::tile_k`] to a nonzero value additionally blocks
-//! the reduction *within* a worker for cache locality. This is opt-in
-//! and excluded from the bit-identity guarantee: it reorders
-//! floating-point accumulation, and for block-quantized engines (BFP
-//! family) a `tile_k` that is not a multiple of the group size also
-//! moves quantization group boundaries — an accuracy change, not just
-//! a rounding one.
-//!
 //! Nested drivers are safe: a `ParallelGemm` invoked from inside another
 //! `ParallelGemm` worker detects the nesting through a thread-local flag
 //! and runs its serial path, so wrapping twice (or re-wrapping the
@@ -56,8 +48,7 @@
 
 use crate::engines::{gemm_dims, Epilogue, GemmEngine, PreparedRhs};
 use crate::faults::{FaultCounts, FaultScope};
-use crate::{Result, Tensor, TensorError};
-use mirage_bfp::BfpConfig;
+use crate::{Result, Tensor};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -78,7 +69,6 @@ pub const MIN_PARALLEL_WORK: usize = 32 * 32 * 32;
 /// `tile_m = 0` derives a row-band height giving each worker one equal
 /// band (amortizing per-band operand staging),
 /// `tile_n = 0` keeps the full output width in one column tile,
-/// `tile_k = 0` never splits the reduction (required for bit-identity),
 /// and `threads = 0` resolves via [`THREADS_ENV`] /
 /// [`std::thread::available_parallelism`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,12 +77,6 @@ pub struct TileConfig {
     pub tile_m: usize,
     /// Output column-tile width per task (`0` = full width).
     pub tile_n: usize,
-    /// Reduction block length (`0` = never split `k`). Nonzero values
-    /// trade the bit-identity guarantee for cache locality: FP32
-    /// accumulation is reordered, and block-quantized engines re-derive
-    /// quantization groups per block unless `tile_k` is a multiple of
-    /// the group size.
-    pub tile_k: usize,
     /// Worker count (`0` = auto).
     pub threads: usize,
 }
@@ -103,7 +87,6 @@ impl TileConfig {
         TileConfig {
             tile_m: 0,
             tile_n: 0,
-            tile_k: 0,
             threads: 0,
         }
     }
@@ -114,7 +97,6 @@ impl TileConfig {
         TileConfig {
             tile_m: 0,
             tile_n: 0,
-            tile_k: 0,
             threads: 1,
         }
     }
@@ -143,51 +125,6 @@ impl TileConfig {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
-    }
-
-    /// Validates the tiling against a BFP operating point: a nonzero
-    /// [`TileConfig::tile_k`] that is not a multiple of the group size
-    /// `g` moves quantization group boundaries — a silent accuracy
-    /// change, not just an FP-reordering one — so it is rejected here
-    /// and by the engine constructors in `mirage-core`.
-    ///
-    /// ```
-    /// use mirage_tensor::parallel::TileConfig;
-    /// use mirage_bfp::BfpConfig;
-    ///
-    /// let bfp = BfpConfig::mirage_default(); // g = 16
-    /// let mut config = TileConfig::auto();
-    /// assert!(config.validate(&bfp).is_ok()); // tile_k = 0: never split
-    /// config.tile_k = 32;
-    /// assert!(config.validate(&bfp).is_ok()); // multiple of g
-    /// config.tile_k = 24;
-    /// assert!(config.validate(&bfp).is_err()); // would re-group mid-block
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidGeometry`] when `tile_k` is nonzero
-    /// and not a multiple of `bfp.group_size()`.
-    pub fn validate(&self, bfp: &BfpConfig) -> Result<()> {
-        self.validate_group_size(bfp.group_size())
-    }
-
-    /// Like [`TileConfig::validate`] for an explicit group size.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidGeometry`] when `tile_k` is nonzero
-    /// and not a multiple of `g`.
-    pub fn validate_group_size(&self, g: usize) -> Result<()> {
-        if self.tile_k > 0 && g > 0 && !self.tile_k.is_multiple_of(g) {
-            return Err(TensorError::InvalidGeometry(format!(
-                "tile_k = {} is not a multiple of the BFP group size g = {g}: \
-                 k-blocking would move quantization group boundaries and \
-                 silently change results",
-                self.tile_k
-            )));
-        }
-        Ok(())
     }
 }
 
@@ -234,7 +171,7 @@ impl Default for TileConfig {
 /// let b = Tensor::full(&[32, 40], 2.0);
 /// let tiled = ParallelGemm::new(
 ///     ExactEngine,
-///     TileConfig { tile_m: 8, tile_n: 16, tile_k: 0, threads: 4 },
+///     TileConfig { tile_m: 8, tile_n: 16, threads: 4 },
 /// );
 /// let parallel = tiled.gemm(&a, &b)?;
 /// let serial = ExactEngine.gemm(&a, &b)?;
@@ -312,7 +249,7 @@ impl<E: GemmEngine> ParallelGemm<E> {
     /// fails if any item does.
     pub fn gemm_batch_prepared(&self, inputs: &[Tensor], b: &PreparedRhs) -> Result<Vec<Tensor>> {
         for a in inputs {
-            gemm_dims(a, b.raw())?;
+            b.dims(a)?;
         }
         if inputs.is_empty() {
             return Ok(Vec::new());
@@ -386,36 +323,6 @@ impl<E: GemmEngine> ParallelGemm<E> {
             .collect()
     }
 
-    /// One `(row band × column tile)` block, optionally k-blocked.
-    fn compute_block(&self, a_band: &Tensor, tile: &PreparedRhs, k: usize) -> Result<Tensor> {
-        let tk = self.config.tile_k;
-        if tk == 0 || tk >= k {
-            return self.inner.gemm_prepared(a_band, tile);
-        }
-        // k-blocking slices the reduction, so the whole-tile preparation
-        // cannot be reused — consistent with tile_k's documented status
-        // outside the bit-identity (and preparation) guarantees.
-        let col_tile = tile.raw();
-        let rows = a_band.shape()[0];
-        let cols = col_tile.shape()[1];
-        let mut acc = Tensor::zeros(&[rows, cols]);
-        for k0 in (0..k).step_by(tk) {
-            let k1 = (k0 + tk).min(k);
-            let mut a_data = Vec::with_capacity(rows * (k1 - k0));
-            for row in a_band.data().chunks(k) {
-                a_data.extend_from_slice(&row[k0..k1]);
-            }
-            let a_slice = Tensor::from_vec(a_data, &[rows, k1 - k0])?;
-            let b_slice = Tensor::from_vec(
-                col_tile.data()[k0 * cols..k1 * cols].to_vec(),
-                &[k1 - k0, cols],
-            )?;
-            let partial = self.inner.gemm(&a_slice, &b_slice)?;
-            acc = acc.add(&partial)?;
-        }
-        Ok(acc)
-    }
-
     /// Computes every column tile of one output row band (starting at
     /// output row `r0`), writing into the band's slice of the output
     /// buffer.
@@ -432,7 +339,7 @@ impl<E: GemmEngine> ParallelGemm<E> {
         let a_band = Tensor::from_vec(a.data()[r0 * k..(r0 + rows) * k].to_vec(), &[rows, k])?;
         for (c0, tile) in col_tiles {
             let width = tile.n();
-            let block = self.compute_block(&a_band, tile, k)?;
+            let block = self.inner.gemm_prepared(&a_band, tile)?;
             for (out_row, block_row) in band.chunks_mut(n).zip(block.data().chunks(width)) {
                 out_row[*c0..c0 + width].copy_from_slice(block_row);
             }
@@ -622,14 +529,7 @@ impl<E: GemmEngine> GemmEngine for ParallelGemm<E> {
             return self.inner.gemm(a, b);
         }
         // One whole-matrix preparation shared by every band and tile.
-        // With k-blocking active, `compute_block` works from raw
-        // k-slices and never consumes prepared state, so preparing would
-        // be pure waste — stage a raw wrapper instead.
-        let prepared = if self.config.tile_k > 0 && self.config.tile_k < k {
-            PreparedRhs::from_raw(self.inner.name(), b)?
-        } else {
-            self.inner.prepare(b)?
-        };
+        let prepared = self.inner.prepare(b)?;
         let mut out = Vec::new();
         self.fan_out_into(
             a,
@@ -663,7 +563,7 @@ impl<E: GemmEngine> GemmEngine for ParallelGemm<E> {
         epilogue: &Epilogue<'_>,
         out: &mut Vec<f32>,
     ) -> Result<(usize, usize)> {
-        let (m, k, n) = gemm_dims(a, b.raw())?;
+        let (m, k, n) = b.dims(a)?;
         let threads = self.planned_workers(m, k, n);
         if threads <= 1 {
             return self.inner.gemm_prepared_epilogue_into(a, b, epilogue, out);
@@ -692,7 +592,6 @@ mod tests {
         TileConfig {
             tile_m,
             tile_n,
-            tile_k: 0,
             threads: 4,
         }
     }
@@ -708,20 +607,6 @@ mod tests {
             TileConfig::auto().effective_threads(),
             TileConfig::auto().effective_threads()
         );
-    }
-
-    #[test]
-    fn validate_rejects_group_misaligned_tile_k() {
-        let bfp = BfpConfig::mirage_default(); // g = 16
-        let mut config = TileConfig::auto();
-        assert!(config.validate(&bfp).is_ok()); // tile_k = 0
-        config.tile_k = 48;
-        assert!(config.validate(&bfp).is_ok()); // 3 g
-        config.tile_k = 24;
-        let err = config.validate(&bfp).unwrap_err();
-        assert!(err.to_string().contains("tile_k"), "{err}");
-        assert!(config.validate_group_size(24).is_ok());
-        assert!(config.validate_group_size(16).is_err());
     }
 
     #[test]
@@ -777,21 +662,6 @@ mod tests {
             parallel.gemm(&a, &b).unwrap().data(),
             ExactEngine.gemm(&a, &b).unwrap().data()
         );
-    }
-
-    #[test]
-    fn tile_k_blocking_stays_close_to_serial() {
-        // k-blocking reorders FP accumulation: close, not bit-identical.
-        let (a, b) = pair(94, 40, 96, 40);
-        let config = TileConfig {
-            tile_m: 8,
-            tile_n: 0,
-            tile_k: 32,
-            threads: 4,
-        };
-        let blocked = ParallelGemm::new(ExactEngine, config).gemm(&a, &b).unwrap();
-        let serial = ExactEngine.gemm(&a, &b).unwrap();
-        assert!(blocked.allclose(&serial, 1e-4));
     }
 
     #[test]

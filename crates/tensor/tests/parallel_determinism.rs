@@ -39,13 +39,11 @@ fn configs() -> Vec<TileConfig> {
         configs.push(TileConfig {
             tile_m: 8,
             tile_n: 0,
-            tile_k: 0,
             threads,
         });
         configs.push(TileConfig {
             tile_m: 7,
             tile_n: 13,
-            tile_k: 0,
             threads,
         });
         configs.push(TileConfig::auto().with_threads(threads));
@@ -178,7 +176,6 @@ fn assert_empty_shapes_are_well_formed<E: GemmEngine + Clone>(engine: E) {
             TileConfig {
                 tile_m: 3,
                 tile_n: 5,
-                tile_k: 0,
                 threads: 4,
             },
         ] {
@@ -327,7 +324,6 @@ fn assert_packed_matches_legacy_everywhere<E: GemmEngine + Clone>(
             TileConfig {
                 tile_m: 7,
                 tile_n: 13,
-                tile_k: 0,
                 threads: 4,
             },
         ] {

@@ -31,7 +31,6 @@ fn engine_stacks(mirage: &Mirage) -> Vec<(String, Engines)> {
             Some(TileConfig {
                 tile_m: 8,
                 tile_n: 8,
-                tile_k: 0,
                 threads: 2,
             }),
         ),

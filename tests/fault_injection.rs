@@ -343,7 +343,6 @@ fn threaded_protected_serving_accounts_for_every_flip() {
     let tiles = TileConfig {
         tile_m: 0,
         tile_n: 32,
-        tile_k: 0,
         threads: 2,
     };
     let clean = clean_stack(&mirage, "rns-bfp-protected");
