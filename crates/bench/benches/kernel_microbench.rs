@@ -23,6 +23,13 @@
 //!   order-balanced back-to-back pairs (`mirage_bench::paired_speedup`),
 //!   plus the unprepared RNS-BFP `gemm` at the 256×64×256 training
 //!   backward shape. The `simd` column records the tier each row ran at.
+//! - **one-pass packing rows**: the RNS-BFP B-side packing (quantize
+//!   and forward-convert the columns of a 256×256 `B`) as one pass over
+//!   `B`'s stored layout (`prepare`) against the packing it replaced —
+//!   `transpose2d`, the row quantizer into an `i32` buffer, then a
+//!   `reduce_i128` pass per channel — and the unprepared 64×256×256
+//!   RNS-BFP `gemm` against that legacy B-side packing followed by the
+//!   prepared GEMM. Both sides are asserted bit-identical first.
 //! - **RRNS rows** (`rrns gemm (simd)`): the RRNS-protected engine
 //!   against unprotected SIMD RNS-BFP on prepared weights at the
 //!   1×96×384 serving shape and 64×256×256, clean and with a 1e-5
@@ -38,7 +45,7 @@
 use mirage_bench::{paired_speedup, print_table, write_summary, JsonField, PairedSpeedup};
 use mirage_bfp::{simd, BfpBlock, BfpConfig, PackedBfpMatrix, SimdPolicy};
 use mirage_rns::convert::{CrtConverter, ReverseConverter};
-use mirage_rns::residue;
+use mirage_rns::{residue, ResiduePlane};
 use mirage_tensor::engines::{BfpEngine, ProtectedRnsBfpEngine, RnsBfpEngine};
 use mirage_tensor::faults::{FaultConfig, FaultInjector};
 use mirage_tensor::{GemmEngine, Tensor};
@@ -183,6 +190,27 @@ fn legacy_rns_gemm(a: &Tensor, b: &Tensor, engine: &RnsBfpEngine) -> Tensor {
         }
     }
     Tensor::from_vec(out, &[m, n]).unwrap()
+}
+
+/// The RNS-BFP B-side packing the one-pass packers replaced:
+/// `transpose2d`, the row quantizer into a packed `i32` buffer, then
+/// one exact `reduce_i128` pass per residue channel.
+fn legacy_rns_pack_cols(b: &Tensor, engine: &RnsBfpEngine) -> (Vec<ResiduePlane>, Vec<i32>) {
+    let (k, n) = (b.shape()[0], b.shape()[1]);
+    let bt = b.transpose2d().unwrap();
+    let config = engine.config();
+    let packed = PackedBfpMatrix::quantize_rows(bt.data(), n, k, config).unwrap();
+    let planes = engine
+        .moduli()
+        .moduli()
+        .iter()
+        .map(|&m| {
+            let mut plane = ResiduePlane::zeroed(packed.mantissas().len(), m, config.group_size());
+            plane.write_run(0, packed.mantissas(), m, u64::MAX);
+            plane
+        })
+        .collect();
+    (planes, packed.scale_exps().to_vec())
 }
 
 fn main() {
@@ -471,6 +499,54 @@ fn main() {
         record_simd(
             "rns-bfp gemm (simd, unprepared)",
             format!("{tm}x{tk}x{tn}"),
+            r,
+        );
+    }
+
+    // One-pass packing: the B side quantized and forward-converted
+    // straight from `B`'s row-major storage into residue planes, against
+    // the transpose → i32 buffer → per-channel reduce pipeline it
+    // replaced. The prepared and unprepared GEMMs through the one-pass
+    // packer are asserted bit-identical to the legacy group oracle.
+    {
+        let engine = RnsBfpEngine::with_min_special_set(config).unwrap();
+        let legacy_out = legacy_rns_gemm(&a, &b, &engine);
+        let prepared = engine.prepare(&b).unwrap();
+        assert_same_bits(
+            &legacy_out,
+            &engine.gemm_prepared(&a, &prepared).unwrap(),
+            "one-pass B packing diverged from the legacy RNS-BFP path",
+        );
+        assert_same_bits(
+            &legacy_out,
+            &engine.gemm(&a, &b).unwrap(),
+            "one-pass unprepared RNS-BFP GEMM diverged from the legacy path",
+        );
+        let r = paired_speedup(
+            rounds,
+            reps(4),
+            || {
+                black_box(engine.prepare(black_box(&b)).unwrap());
+            },
+            || {
+                black_box(legacy_rns_pack_cols(black_box(&b), &engine));
+            },
+        );
+        record_simd("rns-bfp pack_cols", format!("{K}x{N}"), r);
+        let r = paired_speedup(
+            rounds,
+            reps(2),
+            || {
+                black_box(engine.gemm(black_box(&a), black_box(&b)).unwrap());
+            },
+            || {
+                black_box(legacy_rns_pack_cols(black_box(&b), &engine));
+                black_box(engine.gemm_prepared(black_box(&a), &prepared).unwrap());
+            },
+        );
+        record_simd(
+            "rns-bfp gemm (unprepared, one-pass packing)",
+            format!("{M}x{K}x{N}"),
             r,
         );
     }

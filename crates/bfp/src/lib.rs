@@ -42,7 +42,9 @@ pub use block::{BfpBlock, BfpDotProduct};
 pub use config::{BfpConfig, RoundingMode};
 pub use error::BfpError;
 pub use math::pow2;
-pub use packed::{group_dot, group_dot_i16, group_dot_i32, PackedBfpMatrix};
+pub use packed::{
+    group_dot, group_dot_i16, group_dot_i32, pack_cols, pack_rows, GroupSink, PackedBfpMatrix,
+};
 pub use simd::{GemmTail, SimdPolicy, SimdTier};
 pub use stats::QuantizationStats;
 pub use vector::BfpVector;

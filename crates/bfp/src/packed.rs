@@ -20,17 +20,50 @@
 //! never participate in the shared-exponent scan, so every packed group
 //! dot is **bit-identical** to [`crate::BfpBlock::dot`] on the unpadded
 //! group — the property the proptests pin against the block path.
+//!
+//! ## One-pass packers
+//!
+//! [`pack_rows`] and [`pack_cols`] quantize a row-major `f32` matrix
+//! group by group and hand each finished group to a [`GroupSink`]: the
+//! packed buffers of a [`PackedBfpMatrix`], or any other operand layout
+//! (the RNS engines convert each group straight into residue planes).
+//! [`pack_cols`] groups along the *columns* of the stored matrix — the
+//! B-side layout of every GEMM — reading `g` rows × 8 columns at a time
+//! with lanewise shared exponents, so no transposed copy of the matrix
+//! is ever built.
 
 use crate::block::{exponent_of, sanitize};
 use crate::config::{BfpConfig, RoundingMode};
 use crate::math::pow2;
 use crate::{BfpError, Result};
 
+/// The biased-exponent field of an `f32`: all ones marks a non-finite
+/// value, zero a zero or subnormal.
+const EXP_FIELD: u32 = 0x7f80_0000;
+
+/// Columns per block of the column packer: one 256-bit register of
+/// `f32` lanes per row of the block.
+const COL_BLOCK: usize = 8;
+
+/// The consumer of a one-pass packer ([`pack_rows`], [`pack_cols`]).
+///
+/// The packer calls [`GroupSink::put`] exactly once per group, with
+/// the group's `g` mantissa lanes — a ragged tail group zero-padded —
+/// and its shared scale exponent, bit-identical to what
+/// [`PackedBfpMatrix::quantize_rows`] stores for that group.
+pub trait GroupSink {
+    /// Receives group `index` in packed order (`row * groups_per_row +
+    /// gi`, where a [`pack_cols`] "row" is a column of the input).
+    fn put(&mut self, index: usize, lanes: &[i32], scale_exp: i32);
+}
+
 /// A matrix quantized row-by-row into BFP groups, stored flat.
 ///
-/// Rows run along the reduction dimension: packing the rows of `A` (or
-/// of `Bᵀ`) groups exactly like [`crate::BfpBlock`] chunking each row,
-/// so the layout serves both GEMM operands.
+/// Rows run along the reduction dimension: packing the rows of `A`
+/// ([`PackedBfpMatrix::quantize_rows`]) or the columns of `B`
+/// ([`PackedBfpMatrix::quantize_cols`], no transpose) groups exactly
+/// like [`crate::BfpBlock`] chunking each row or column, so the layout
+/// serves both GEMM operands.
 ///
 /// ```
 /// use mirage_bfp::{BfpBlock, BfpConfig, PackedBfpMatrix};
@@ -43,6 +76,10 @@ use crate::{BfpError, Result};
 /// assert_eq!(&packed.group_mantissas(0, 0)[..3], block.mantissas());
 /// assert_eq!(packed.group_mantissas(0, 0)[3], 0); // exact zero padding
 /// assert_eq!(packed.group_scale_exp(0, 0), block.scale_exp());
+/// // The same data read as a 3 × 2 matrix and packed by columns.
+/// let cols = PackedBfpMatrix::quantize_cols(&data, 3, 2, cfg)?;
+/// let col0 = BfpBlock::quantize(&[1.0, -0.25, 2.0], cfg);
+/// assert_eq!(&cols.group_mantissas(0, 0)[..3], col0.mantissas());
 /// # Ok::<(), mirage_bfp::BfpError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,15 +91,12 @@ pub struct PackedBfpMatrix {
     /// `rows * groups_per_row * g` mantissae, tail groups zero-padded.
     mantissas: Vec<i32>,
     /// A narrow copy of [`Self::mantissas`], kept when
-    /// `max_mantissa <= i16::MAX` (every `bm <= 15` operating point)
-    /// and the shadow is enabled (see
-    /// [`PackedBfpMatrix::without_narrow_shadow`]): the flat kernels'
-    /// `i16 × i16 → i32` multiply-accumulate maps onto twice-as-wide
-    /// SIMD lanes (`pmaddwd` and friends). The `i32` buffer stays
-    /// canonical; this is a same-values shadow.
+    /// `max_mantissa <= i16::MAX` (every `bm <= 15` operating point):
+    /// the flat kernels' `i16 × i16 → i32` multiply-accumulate maps
+    /// onto twice-as-wide SIMD lanes (`pmaddwd` and friends). The `i32`
+    /// buffer stays canonical; this is a same-values shadow, written in
+    /// the same pass.
     mantissas_i16: Vec<i16>,
-    /// Whether [`Self::mantissas_i16`] is maintained.
-    keep_shadow: bool,
     /// `rows * groups_per_row` shared scale exponents.
     scale_exps: Vec<i32>,
 }
@@ -79,20 +113,8 @@ impl PackedBfpMatrix {
             config,
             mantissas: Vec::new(),
             mantissas_i16: Vec::new(),
-            keep_shadow: true,
             scale_exps: Vec::new(),
         }
-    }
-
-    /// Disables the `i16` mantissa shadow for consumers that only read
-    /// the canonical `i32` buffer — the RNS forward conversion and the
-    /// photonic `i64` widening — so their packing skips the extra pass
-    /// and allocation. The BFP flat kernel keeps the shadow (default).
-    #[must_use]
-    pub fn without_narrow_shadow(mut self) -> Self {
-        self.keep_shadow = false;
-        self.mantissas_i16 = Vec::new();
-        self
     }
 
     /// Quantizes `rows` rows of `k` elements each (row-major `data`)
@@ -105,6 +127,24 @@ impl PackedBfpMatrix {
     pub fn quantize_rows(data: &[f32], rows: usize, k: usize, config: BfpConfig) -> Result<Self> {
         let mut packed = Self::empty(config);
         packed.quantize_rows_into(data, rows, k)?;
+        Ok(packed)
+    }
+
+    /// Quantizes the `n` columns of a row-major `k × n` matrix, groups
+    /// running down each column, into a freshly allocated packed matrix
+    /// with one packed row per column — the B side of a GEMM, read in
+    /// one pass from its stored layout ([`pack_cols`]). Bit-identical
+    /// to [`PackedBfpMatrix::quantize_rows`] on the transposed matrix.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BfpError::LengthMismatch`] unless
+    /// `data.len() == k * n`.
+    pub fn quantize_cols(data: &[f32], k: usize, n: usize, config: BfpConfig) -> Result<Self> {
+        let mut packed = Self::empty(config);
+        check_len(data, k, n)?;
+        packed.reset(n, k);
+        pack_cols(data, k, n, config, &mut packed.sink())?;
         Ok(packed)
     }
 
@@ -123,58 +163,34 @@ impl PackedBfpMatrix {
     /// `data.len() == rows * k`.
     // mirage-lint: no_alloc
     pub fn quantize_rows_into(&mut self, data: &[f32], rows: usize, k: usize) -> Result<()> {
-        if data.len() != rows * k {
-            return Err(BfpError::LengthMismatch {
-                left: data.len(),
-                right: rows * k,
-            });
-        }
+        check_len(data, rows, k)?;
+        self.reset(rows, k);
+        pack_rows(data, rows, k, self.config, &mut self.sink())
+    }
+
+    /// Sizes the buffers for `rows` packed rows of reduction length `k`
+    /// (contents are overwritten group by group by the packer).
+    fn reset(&mut self, rows: usize, k: usize) {
         let g = self.config.group_size();
         let groups_per_row = k.div_ceil(g);
         self.rows = rows;
         self.k = k;
         self.groups_per_row = groups_per_row;
-        self.mantissas.clear();
-        self.mantissas.resize(rows * groups_per_row * g, 0);
-        let narrow = self.keep_shadow && self.config.max_mantissa() <= i64::from(i16::MAX);
-        self.mantissas_i16.clear();
-        if narrow {
-            self.mantissas_i16.resize(rows * groups_per_row * g, 0);
-        }
-        self.scale_exps.clear();
+        let lanes = rows * groups_per_row * g;
+        self.mantissas.resize(lanes, 0);
+        let narrow = self.config.max_mantissa() <= i64::from(i16::MAX);
+        self.mantissas_i16.resize(if narrow { lanes } else { 0 }, 0);
         self.scale_exps.resize(rows * groups_per_row, 0);
+    }
 
-        let quant = GroupQuantizer {
-            bm: self.config.mantissa_bits() as i32,
-            limit: self.config.max_mantissa() as f64,
-            limit_u64: self.config.max_mantissa() as u64,
-            rounding: self.config.rounding(),
-        };
-        for r in 0..rows {
-            let row = &data[r * k..(r + 1) * k];
-            let m_row = &mut self.mantissas[r * groups_per_row * g..(r + 1) * groups_per_row * g];
-            let e_row = &mut self.scale_exps[r * groups_per_row..(r + 1) * groups_per_row];
-            // Monomorphize the common group sizes: with a compile-time
-            // group length the shared-exponent scan and the mantissa
-            // pass both unroll and vectorize.
-            match g {
-                8 => quantize_row_const::<8>(quant, row, m_row, e_row),
-                16 => quantize_row_const::<16>(quant, row, m_row, e_row),
-                32 => quantize_row_const::<32>(quant, row, m_row, e_row),
-                64 => quantize_row_const::<64>(quant, row, m_row, e_row),
-                _ => {
-                    for (gi, chunk) in row.chunks(g).enumerate() {
-                        quant.quantize_group(chunk, &mut m_row[gi * g..gi * g + g], &mut e_row[gi]);
-                    }
-                }
-            }
+    /// The sink writing packed groups into this matrix's buffers.
+    fn sink(&mut self) -> BufferSink<'_> {
+        BufferSink {
+            g: self.config.group_size(),
+            mantissas: &mut self.mantissas,
+            mantissas_i16: &mut self.mantissas_i16,
+            scale_exps: &mut self.scale_exps,
         }
-        if narrow {
-            for (nl, &lane) in self.mantissas_i16.iter_mut().zip(&self.mantissas) {
-                *nl = lane as i16;
-            }
-        }
-        Ok(())
     }
 
     /// Number of quantized rows.
@@ -299,8 +315,217 @@ impl PackedBfpMatrix {
     }
 }
 
-/// The per-group quantization constants, grouped so the monomorphized
-/// row quantizers take one argument.
+/// The [`GroupSink`] behind [`PackedBfpMatrix`]: each group's lanes
+/// land in the `i32` buffer and, when present, the `i16` shadow.
+struct BufferSink<'a> {
+    g: usize,
+    mantissas: &'a mut [i32],
+    mantissas_i16: &'a mut [i16],
+    scale_exps: &'a mut [i32],
+}
+
+impl GroupSink for BufferSink<'_> {
+    #[inline(always)]
+    fn put(&mut self, index: usize, lanes: &[i32], scale_exp: i32) {
+        let base = index * self.g;
+        self.mantissas[base..base + self.g].copy_from_slice(lanes);
+        if !self.mantissas_i16.is_empty() {
+            let narrow = &mut self.mantissas_i16[base..base + self.g];
+            for (n, &lane) in narrow.iter_mut().zip(lanes) {
+                *n = lane as i16;
+            }
+        }
+        self.scale_exps[index] = scale_exp;
+    }
+}
+
+/// Checks that `data` holds a `rows × cols` matrix.
+fn check_len(data: &[f32], rows: usize, cols: usize) -> Result<()> {
+    if data.len() != rows * cols {
+        return Err(BfpError::LengthMismatch {
+            left: data.len(),
+            right: rows * cols,
+        });
+    }
+    Ok(())
+}
+
+/// Quantizes `rows` rows of `k` elements each (row-major `data`),
+/// groups running along each row, handing every group to `sink` in
+/// packed order.
+///
+/// # Errors
+///
+/// Returns [`BfpError::LengthMismatch`] unless `data.len() == rows * k`.
+pub fn pack_rows<S: GroupSink + ?Sized>(
+    data: &[f32],
+    rows: usize,
+    k: usize,
+    config: BfpConfig,
+    sink: &mut S,
+) -> Result<()> {
+    check_len(data, rows, k)?;
+    let quant = GroupQuantizer::new(config);
+    // Monomorphize the common group sizes: with a compile-time group
+    // length the shared-exponent scan and the mantissa pass both
+    // unroll and vectorize.
+    match config.group_size() {
+        8 => rows_with(quant, data, rows, k, &mut [0; 8], sink),
+        16 => rows_with(quant, data, rows, k, &mut [0; 16], sink),
+        32 => rows_with(quant, data, rows, k, &mut [0; 32], sink),
+        64 => rows_with(quant, data, rows, k, &mut [0; 64], sink),
+        g => rows_with(quant, data, rows, k, &mut vec![0; g], sink),
+    }
+    Ok(())
+}
+
+/// The row packer's loop over one lane buffer of `g` lanes (a constant
+/// length once inlined into [`pack_rows`]'s dispatch): full groups get
+/// constant-length slices (unrolled scans), only the ragged tail is
+/// dynamic.
+#[inline(always)]
+fn rows_with<S: GroupSink + ?Sized>(
+    quant: GroupQuantizer,
+    data: &[f32],
+    rows: usize,
+    k: usize,
+    lanes: &mut [i32],
+    sink: &mut S,
+) {
+    let g = lanes.len();
+    let (full, groups) = (k / g, k.div_ceil(g));
+    for r in 0..rows {
+        let row = &data[r * k..(r + 1) * k];
+        for gi in 0..full {
+            let exp = quant.quantize_group(&row[gi * g..gi * g + g], lanes);
+            sink.put(r * groups + gi, lanes, exp);
+        }
+        if full < groups {
+            let exp = quant.quantize_group(&row[full * g..], lanes);
+            sink.put(r * groups + full, lanes, exp);
+        }
+    }
+}
+
+/// Quantizes the `n` columns of a row-major `k × n` matrix, groups
+/// running down each column, handing every group to `sink` in packed
+/// order (column `j`'s group `gi` is index `j * ceil(k / g) + gi`).
+///
+/// One pass over the stored layout, no transposed copy: the packer
+/// reads one group of `g` rows × 8 columns at a time into a small stack
+/// tile, scanning the 8 shared exponents lanewise as it goes, then runs
+/// the branch-free mantissa lanes down each column's run and emits it.
+/// Groups holding a non-finite value, or only zeros and subnormals, run
+/// the row quantizer's exact per-group path instead. Every group is
+/// bit-identical to [`pack_rows`] on the transposed matrix.
+///
+/// # Errors
+///
+/// Returns [`BfpError::LengthMismatch`] unless `data.len() == k * n`.
+pub fn pack_cols<S: GroupSink + ?Sized>(
+    data: &[f32],
+    k: usize,
+    n: usize,
+    config: BfpConfig,
+    sink: &mut S,
+) -> Result<()> {
+    check_len(data, k, n)?;
+    let quant = GroupQuantizer::new(config);
+    match config.group_size() {
+        8 => cols_with::<8, S>(quant, data, k, n, sink),
+        16 => cols_with::<16, S>(quant, data, k, n, sink),
+        32 => cols_with::<32, S>(quant, data, k, n, sink),
+        64 => cols_with::<64, S>(quant, data, k, n, sink),
+        g => {
+            // Exotic group sizes: one column at a time through the
+            // row quantizer's group path.
+            let groups = k.div_ceil(g);
+            let (mut column, mut lanes) = (vec![0.0f32; g], vec![0i32; g]);
+            for j in 0..n {
+                for gi in 0..groups {
+                    let len = (k - gi * g).min(g);
+                    for (r, slot) in column[..len].iter_mut().enumerate() {
+                        *slot = data[(gi * g + r) * n + j];
+                    }
+                    let exp = quant.quantize_group(&column[..len], &mut lanes);
+                    sink.put(j * groups + gi, &lanes, exp);
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The column packer at a compile-time group size: full 8-column
+/// blocks first, then the ragged column tail one column at a time.
+/// Group-major order, so each block's reads stream along `g` whole
+/// rows of the stored matrix.
+#[inline(always)]
+fn cols_with<const G: usize, S: GroupSink + ?Sized>(
+    quant: GroupQuantizer,
+    data: &[f32],
+    k: usize,
+    n: usize,
+    sink: &mut S,
+) {
+    let groups = k.div_ceil(G);
+    let full = n - n % COL_BLOCK;
+    for gi in 0..groups {
+        let len = (k - gi * G).min(G);
+        for j0 in (0..full).step_by(COL_BLOCK) {
+            col_block::<G, COL_BLOCK, S>(quant, data, n, (gi, len, groups), j0, sink);
+        }
+        for j in full..n {
+            col_block::<G, 1, S>(quant, data, n, (gi, len, groups), j, sink);
+        }
+    }
+}
+
+/// One `len × W` block of the column packer: rows `gi * G ..+ len` of
+/// columns `j0 ..+ W`, each column's run emitted as group `gi`.
+///
+/// One sweep over the block's rows gathers each column's run into a
+/// small stack tile and takes the shared-exponent scan lanewise (the
+/// max biased-exponent field per column, see
+/// [`GroupQuantizer::quantize_group`]); each all-finite column with a
+/// normal maximum then runs the branch-free mantissa lanes, and the
+/// rest take the exact per-group path.
+#[inline(always)]
+fn col_block<const G: usize, const W: usize, S: GroupSink + ?Sized>(
+    quant: GroupQuantizer,
+    data: &[f32],
+    n: usize,
+    (gi, len, groups): (usize, usize, usize),
+    j0: usize,
+    sink: &mut S,
+) {
+    let mut tile = [[0.0f32; G]; W];
+    let mut max_field = [0u32; W];
+    let rows = data[gi * G * n..].chunks(n).take(len);
+    for (r, row) in rows.enumerate() {
+        for (w, &v) in row[j0..j0 + W].iter().enumerate() {
+            tile[w][r] = v;
+            max_field[w] = max_field[w].max(v.to_bits() & EXP_FIELD);
+        }
+    }
+    let mut run = [0i32; G];
+    for (w, column) in tile.iter().enumerate() {
+        let exp = if max_field[w] != 0 && max_field[w] != EXP_FIELD {
+            // Rows past a ragged tail hold +0.0, whose lane is 0.
+            let exp = quant.fast_scale_exp(max_field[w]);
+            for (lane, &v) in run.iter_mut().zip(column) {
+                *lane = quant.lane_mantissa(v, exp);
+            }
+            exp
+        } else {
+            quant.quantize_group(&column[..len], &mut run)
+        };
+        sink.put((j0 + w) * groups + gi, &run, exp);
+    }
+}
+
+/// The per-group quantization constants, grouped so the packers take
+/// one argument.
 #[derive(Clone, Copy)]
 struct GroupQuantizer {
     bm: i32,
@@ -310,94 +535,90 @@ struct GroupQuantizer {
 }
 
 impl GroupQuantizer {
-    /// Quantizes one group, writing `chunk.len()` mantissae into
-    /// `lanes` (padding lanes are already zero) and the shared exponent
-    /// into `exp`. Bit-identical to [`crate::BfpBlock::quantize`]:
-    /// same sanitize mapping, same shared-exponent rule, same `f64`
-    /// scaling — minus the per-group heap objects.
-    #[inline(always)]
-    fn quantize_group(self, chunk: &[f32], lanes: &mut [i32], exp: &mut i32) {
-        // The all-finite fast path (the overwhelmingly common case):
-        // both passes are branchless per lane, so they vectorize. The
-        // slow path applies the same `sanitize` mapping as the block
-        // quantizer, element by element, with no staging copy.
-        if chunk.iter().all(|v| v.is_finite()) {
-            // Shared-exponent scan: the max over the raw biased
-            // exponent field is the max over `exponent_of` whenever any
-            // element is normal (zeros and subnormals both carry a zero
-            // field, and every subnormal exponent lies below every
-            // normal one), and it is two vector ops per lane. Groups of
-            // only zeros/subnormals fall back to the scalar replica —
-            // both pinned against the block quantizer by the
-            // packed-vs-block proptests.
-            let mut max_field = 0u32;
-            for &v in chunk {
-                max_field = max_field.max(v.to_bits() & 0x7f80_0000);
-            }
-            if max_field == 0 {
-                let max_exp = chunk
-                    .iter()
-                    .filter(|v| **v != 0.0)
-                    .map(|&v| exponent_of(v))
-                    .max();
-                let Some(e_shared) = max_exp else {
-                    // All-zero group: scale_exp = 0, mantissae stay 0.
-                    *exp = 0;
-                    return;
-                };
-                let scale_exp = e_shared - self.bm + 1;
-                let scale = pow2(-scale_exp);
-                *exp = scale_exp;
-                for (lane, &v) in lanes.iter_mut().zip(chunk) {
-                    let scaled = f64::from(v) * scale;
-                    let q = match self.rounding {
-                        RoundingMode::Truncate => scaled.trunc(),
-                        RoundingMode::RoundNearest => scaled.round(),
-                    };
-                    *lane = q.clamp(-self.limit, self.limit) as i32;
-                }
-                return;
-            }
-            let scale_exp = ((max_field >> 23) as i32 - 127) - self.bm + 1;
-            *exp = scale_exp;
-            // Mantissa pass as exact integer arithmetic: for a finite
-            // `v = ±mant24 · 2^(e-23)`, the legacy `trunc(f64(v) ·
-            // 2^-scale_exp)` (every step of which is exact — f32→f64 is
-            // lossless, and scaling by a power of two only moves the
-            // exponent) equals `±(mant24 >> (scale_exp + 23 - e))`, and
-            // `round` equals the half-added shift (ties away from zero
-            // in both). The shift is >= 24 - bm >= 1 because the shared
-            // exponent is the group max; shifts past 63 are clamped
-            // (the result is 0 either way). Branchless per lane, so the
-            // whole pass vectorizes.
-            let limit = self.limit_u64;
-            let round_nearest = self.rounding == RoundingMode::RoundNearest;
-            for (lane, &v) in lanes.iter_mut().zip(chunk) {
-                let bits = v.to_bits();
-                let abs = bits & 0x7fff_ffff;
-                let raw = (abs >> 23) as i32;
-                // Subnormals have no implicit bit and a fixed exponent.
-                let mant24 = u64::from(if raw > 0 {
-                    (abs & 0x7f_ffff) | 0x80_0000
-                } else {
-                    abs
-                });
-                let e = if raw > 0 { raw - 127 } else { -126 };
-                let shift = (scale_exp + 23 - e).clamp(1, 63) as u32;
-                let add = if round_nearest {
-                    1u64 << (shift - 1)
-                } else {
-                    0
-                };
-                let mag = ((mant24 + add) >> shift).min(limit);
-                *lane = if bits >> 31 == 1 {
-                    -(mag as i32)
-                } else {
-                    mag as i32
-                };
-            }
-            return;
+    fn new(config: BfpConfig) -> Self {
+        GroupQuantizer {
+            bm: config.mantissa_bits() as i32,
+            limit: config.max_mantissa() as f64,
+            limit_u64: config.max_mantissa() as u64,
+            rounding: config.rounding(),
         }
+    }
+
+    /// The shared scale exponent of an all-finite group whose maximum
+    /// biased-exponent field is `max_field` (nonzero).
+    #[inline(always)]
+    fn fast_scale_exp(self, max_field: u32) -> i32 {
+        ((max_field >> 23) as i32 - 127) - self.bm + 1
+    }
+
+    /// One lane of the all-finite fast path: the mantissa of `v` at
+    /// `scale_exp`, as exact integer arithmetic. For a finite `v =
+    /// ±mant24 · 2^(e-23)`, the legacy `trunc(f64(v) · 2^-scale_exp)`
+    /// (every step of which is exact — f32→f64 is lossless, and scaling
+    /// by a power of two only moves the exponent) equals `±(mant24 >>
+    /// (scale_exp + 23 - e))`, and `round` equals the half-added shift
+    /// (ties away from zero in both). The shift is >= 24 - bm >= 1
+    /// because the shared exponent is the group max; shifts past 63 are
+    /// clamped (the result is 0 either way). Branchless, so a pass of
+    /// lanes vectorizes.
+    #[inline(always)]
+    fn lane_mantissa(self, v: f32, scale_exp: i32) -> i32 {
+        let bits = v.to_bits();
+        let abs = bits & 0x7fff_ffff;
+        let raw = (abs >> 23) as i32;
+        // Subnormals have no implicit bit and a fixed exponent.
+        let mant24 = u64::from(if raw > 0 {
+            (abs & 0x7f_ffff) | 0x80_0000
+        } else {
+            abs
+        });
+        let e = if raw > 0 { raw - 127 } else { -126 };
+        let shift = (scale_exp + 23 - e).clamp(1, 63) as u32;
+        let add = if self.rounding == RoundingMode::RoundNearest {
+            1u64 << (shift - 1)
+        } else {
+            0
+        };
+        let mag = ((mant24 + add) >> shift).min(self.limit_u64);
+        if bits >> 31 == 1 {
+            -(mag as i32)
+        } else {
+            mag as i32
+        }
+    }
+
+    /// Quantizes one group into all of `lanes` (`chunk.len()` mantissae,
+    /// then zero padding) and returns the shared exponent.
+    /// Bit-identical to [`crate::BfpBlock::quantize`]: same sanitize
+    /// mapping, same shared-exponent rule, same `f64` scaling — minus
+    /// the per-group heap objects.
+    #[inline(always)]
+    fn quantize_group(self, chunk: &[f32], lanes: &mut [i32]) -> i32 {
+        lanes[chunk.len()..].fill(0);
+        // Shared-exponent scan: the max over the raw biased exponent
+        // field is the max over `exponent_of` whenever any element is
+        // normal (zeros and subnormals both carry a zero field, and
+        // every subnormal exponent lies below every normal one), and it
+        // is two vector ops per lane. An all-ones maximum means a
+        // non-finite element.
+        let mut max_field = 0u32;
+        for &v in chunk {
+            max_field = max_field.max(v.to_bits() & EXP_FIELD);
+        }
+        if max_field != 0 && max_field != EXP_FIELD {
+            // The all-finite fast path (the overwhelmingly common case):
+            // branchless per lane, so it vectorizes.
+            let scale_exp = self.fast_scale_exp(max_field);
+            for (lane, &v) in lanes.iter_mut().zip(chunk) {
+                *lane = self.lane_mantissa(v, scale_exp);
+            }
+            return scale_exp;
+        }
+        // Groups of only zeros/subnormals, or holding a non-finite
+        // value: the block quantizer's `sanitize` mapping and `f64`
+        // scaling, element by element, with no staging copy — both
+        // pinned against the block quantizer by the packed-vs-block
+        // proptests.
         let max_exp = chunk
             .iter()
             .map(|&v| sanitize(v))
@@ -405,12 +626,12 @@ impl GroupQuantizer {
             .map(exponent_of)
             .max();
         let Some(e_shared) = max_exp else {
-            *exp = 0;
-            return;
+            // All-zero group: scale_exp = 0, mantissae 0.
+            lanes.fill(0);
+            return 0;
         };
         let scale_exp = e_shared - self.bm + 1;
         let scale = pow2(-scale_exp);
-        *exp = scale_exp;
         for (lane, &v) in lanes.iter_mut().zip(chunk) {
             let scaled = f64::from(sanitize(v)) * scale;
             let q = match self.rounding {
@@ -419,34 +640,7 @@ impl GroupQuantizer {
             };
             *lane = q.clamp(-self.limit, self.limit) as i32;
         }
-    }
-}
-
-/// One row's groups with a compile-time group size: full groups get
-/// constant-length slices (unrolled scans), only the ragged tail is
-/// dynamic.
-#[inline(always)]
-fn quantize_row_const<const G: usize>(
-    quant: GroupQuantizer,
-    row: &[f32],
-    m_row: &mut [i32],
-    e_row: &mut [i32],
-) {
-    let full = row.len() / G;
-    for gi in 0..full {
-        quant.quantize_group(
-            &row[gi * G..(gi + 1) * G],
-            &mut m_row[gi * G..(gi + 1) * G],
-            &mut e_row[gi],
-        );
-    }
-    let tail = full * G;
-    if tail < row.len() {
-        quant.quantize_group(
-            &row[tail..],
-            &mut m_row[tail..tail + G][..row.len() - tail],
-            &mut e_row[full],
-        );
+        scale_exp
     }
 }
 
@@ -689,5 +883,51 @@ mod tests {
     fn length_mismatch_is_rejected() {
         let err = PackedBfpMatrix::quantize_rows(&[1.0; 5], 2, 3, cfg(4, 4)).unwrap_err();
         assert_eq!(err, BfpError::LengthMismatch { left: 5, right: 6 });
+        let err = PackedBfpMatrix::quantize_cols(&[1.0; 5], 2, 3, cfg(4, 4)).unwrap_err();
+        assert_eq!(err, BfpError::LengthMismatch { left: 5, right: 6 });
+    }
+
+    /// Row-major `k × n` data transposed to `n × k`.
+    fn transposed(data: &[f32], k: usize, n: usize) -> Vec<f32> {
+        (0..n * k).map(|i| data[(i % k) * n + i / k]).collect()
+    }
+
+    /// A `k × n` matrix whose groups cover every quantizer branch:
+    /// ordinary values, NaN/±∞ lanes, all-zero groups and groups of
+    /// only subnormals (column `j`'s group `gi` picks its kind).
+    fn mixed_matrix(k: usize, n: usize, g: usize, seed: u64) -> Vec<f32> {
+        let plain = values(k * n, seed, false);
+        let tiny = f32::from_bits(3);
+        (0..k * n)
+            .map(|i| {
+                let (r, j) = (i / n, i % n);
+                match (j + 3 * (r / g)) % 7 {
+                    0 if r % 5 == 1 => [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][r % 3],
+                    1 => 0.0,
+                    2 => tiny * (r as f32 + 1.0) * if r % 2 == 0 { -1.0 } else { 1.0 },
+                    _ => plain[i] * 1e2,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn column_packer_matches_row_packer_on_the_transpose() {
+        for mode in [RoundingMode::Truncate, RoundingMode::RoundNearest] {
+            for (bm, g) in [(4u32, 16usize), (5, 8), (6, 32), (4, 64), (3, 4), (20, 16)] {
+                let config = cfg(bm, g).with_rounding(mode);
+                for (k, n) in [(1, 1), (16, 8), (33, 9), (64, 17), (7, 23), (40, 0), (0, 5)] {
+                    let data = mixed_matrix(k, n, g, (k * 31 + n) as u64);
+                    let want =
+                        PackedBfpMatrix::quantize_rows(&transposed(&data, k, n), n, k, config)
+                            .unwrap();
+                    let got = PackedBfpMatrix::quantize_cols(&data, k, n, config).unwrap();
+                    assert_eq!(got, want, "{k}x{n} {config} {mode:?}");
+                    if !got.mantissas().is_empty() {
+                        assert_eq!(got.mantissas_i16().is_some(), bm <= 15);
+                    }
+                }
+            }
+        }
     }
 }

@@ -62,7 +62,7 @@ struct PreparedPhotonicCols {
 
 /// Quantizes, packs and widens the columns of `B` for streaming.
 fn stream_cols(b: &Tensor, bfp: BfpConfig) -> Result<PackedStreamedCols> {
-    Ok(PackedStreamedCols::from_packed(&BfpEngine::pack_cols_wide(
+    Ok(PackedStreamedCols::from_packed(&BfpEngine::pack_cols(
         b, bfp,
     )?))
 }
@@ -127,7 +127,7 @@ impl PhotonicGemmEngine {
             });
         }
         debug_assert!(col_start + n <= cols.rows, "column range out of bounds");
-        let a_packed = BfpEngine::pack_rows_wide(a, self.bfp);
+        let a_packed = BfpEngine::pack_rows(a, self.bfp);
         let groups_per_row = a_packed.groups_per_row();
         let g = self.bfp.group_size();
 

@@ -37,16 +37,96 @@ impl ResiduePlane {
     /// Forward-converts a flat signed-mantissa buffer (Fig. 2 step 2)
     /// into this channel's residue plane, choosing the lane width from
     /// `modulus` and the group length the dots will run over.
+    ///
+    /// One scan finds the largest magnitude; when every value lies
+    /// strictly inside `(−m, m)` — every BFP operating point whose
+    /// `max_mantissa < m`, such as `bm = 4` against `{31, 32, 33}` —
+    /// conversion is one branch-free conditional add per lane (see
+    /// [`ResiduePlane::write_run`]). Wider values take the exact
+    /// [`Modulus::reduce_i128`] path. Both give the same residues.
     pub fn convert_i32(values: &[i32], modulus: Modulus, group_len: usize) -> Self {
+        let max_abs = values.iter().map(|v| v.unsigned_abs()).max().unwrap_or(0);
+        let mut plane = Self::zeroed(values.len(), modulus, group_len);
+        plane.write_run(0, values, modulus, u64::from(max_abs));
+        plane
+    }
+
+    /// A plane of `len` zero residues in the lane width `(modulus,
+    /// group_len)` selects — the width [`ResiduePlane::convert_i32`]
+    /// picks — ready to be filled run by run with
+    /// [`ResiduePlane::write_run`].
+    pub fn zeroed(len: usize, modulus: Modulus, group_len: usize) -> Self {
         let m = modulus.value();
         let worst = u128::from(m - 1) * u128::from(m - 1) * group_len.max(1) as u128;
-        let reduce = |v: i32| modulus.reduce_i128(i128::from(v));
         if m <= 1 << 16 && worst <= u128::from(u32::MAX) {
-            ResiduePlane::U16(values.iter().map(|&v| reduce(v) as u16).collect())
+            ResiduePlane::U16(vec![0; len])
         } else if m <= 1 << 32 && worst <= u128::from(u64::MAX) {
-            ResiduePlane::U32(values.iter().map(|&v| reduce(v) as u32).collect())
+            ResiduePlane::U32(vec![0; len])
         } else {
-            ResiduePlane::U64(values.iter().map(|&v| reduce(v)).collect())
+            ResiduePlane::U64(vec![0; len])
+        }
+    }
+
+    /// Forward-converts `values` into residues `offset..offset +
+    /// values.len()` of this plane.
+    ///
+    /// `max_abs` must bound `|v|` for every value (the caller's
+    /// contract, debug-asserted). When `max_abs < m` each
+    /// lane is `v + (m & (v >> 31))`: a non-negative `v` is already its
+    /// residue and a negative one needs exactly one `+ m` — no division,
+    /// no branch, so the loop vectorizes. Otherwise every lane reduces
+    /// through [`Modulus::reduce_i128`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run ends past the plane.
+    #[inline]
+    pub fn write_run(&mut self, offset: usize, values: &[i32], modulus: Modulus, max_abs: u64) {
+        debug_assert!(
+            values
+                .iter()
+                .all(|v| u64::from(v.unsigned_abs()) <= max_abs),
+            "a value exceeds the stated bound {max_abs}"
+        );
+        let m = modulus.value();
+        let bounded = max_abs < m;
+        let reduce = |v: i32| modulus.reduce_i128(i128::from(v));
+        let end = offset + values.len();
+        match self {
+            ResiduePlane::U16(plane) => {
+                let dst = &mut plane[offset..end];
+                if bounded {
+                    // The U16 tier has m <= 2^16, so `v + m` fits i32.
+                    let m = m as i32;
+                    for (d, &v) in dst.iter_mut().zip(values) {
+                        *d = (v + (m & (v >> 31))) as u16;
+                    }
+                } else {
+                    for (d, &v) in dst.iter_mut().zip(values) {
+                        *d = reduce(v) as u16;
+                    }
+                }
+            }
+            ResiduePlane::U32(plane) => {
+                let dst = &mut plane[offset..end];
+                if bounded {
+                    // The U32 tier has m <= 2^32, so `v + m` fits i64.
+                    let m = m as i64;
+                    for (d, &v) in dst.iter_mut().zip(values) {
+                        let v = i64::from(v);
+                        *d = (v + (m & (v >> 63))) as u32;
+                    }
+                } else {
+                    for (d, &v) in dst.iter_mut().zip(values) {
+                        *d = reduce(v) as u32;
+                    }
+                }
+            }
+            ResiduePlane::U64(plane) => {
+                for (d, &v) in plane[offset..end].iter_mut().zip(values) {
+                    *d = reduce(v);
+                }
+            }
         }
     }
 
@@ -232,6 +312,42 @@ mod tests {
             assert_eq!(plane.len(), vals.len());
             for (i, &w) in want.iter().enumerate() {
                 assert_eq!(plane.get(i), w, "m = {m}, index {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_mantissa_converts_like_reduce_i128() {
+        // Exhaustive over [-max, max] for each channel of the paper's
+        // special sets, their redundant primes, and the U32 tier: the
+        // bound passed to `write_run` selects the branch-free lanes
+        // (max < m) or the reduce fallback (max >= m), and
+        // `convert_i32` picks the same way from the values.
+        for m in [31u64, 32, 33, 37, 41, 63, 64, 65, (1 << 20) + 1] {
+            let modulus = Modulus::new(m).unwrap();
+            for max in [
+                1i32,
+                15,
+                31,
+                63,
+                (m - 1) as i32,
+                m as i32,
+                m as i32 + 1,
+                255,
+            ] {
+                let values: Vec<i32> = (-max..=max).collect();
+                let want: Vec<u64> = values
+                    .iter()
+                    .map(|&v| modulus.reduce_i128(i128::from(v)))
+                    .collect();
+                let converted = ResiduePlane::convert_i32(&values, modulus, 16);
+                let mut written = ResiduePlane::zeroed(values.len() + 3, modulus, 16);
+                written.write_run(3, &values, modulus, max as u64);
+                for (i, &w) in want.iter().enumerate() {
+                    assert_eq!(converted.get(i), w, "m = {m}, v = {}", values[i]);
+                    assert_eq!(written.get(i + 3), w, "m = {m}, v = {}", values[i]);
+                }
+                assert_eq!(written.get(0), 0, "residues before the run stay zero");
             }
         }
     }

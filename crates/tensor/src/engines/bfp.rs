@@ -6,6 +6,7 @@ use mirage_bfp::{
     group_dot, group_dot_i16, group_dot_i32, pow2, BfpBlock, BfpConfig, GemmTail, PackedBfpMatrix,
     SimdPolicy,
 };
+use std::cell::RefCell;
 use std::sync::Arc;
 
 /// Output columns per j-block in the flat kernel. Each `(row, group)`
@@ -195,6 +196,13 @@ fn flat_block_dyn<T: Copy>(
     }
 }
 
+thread_local! {
+    /// This thread's A-side packing buffers: [`BfpEngine`] re-quantizes
+    /// each call's activations into the same allocation, so a serving
+    /// thread's steady state packs `A` without touching the allocator.
+    static A_PACKED: RefCell<Option<PackedBfpMatrix>> = const { RefCell::new(None) };
+}
+
 /// Prepared B-side state: the columns of `B` quantized into one packed,
 /// contiguous buffer ([`PackedBfpMatrix`] rows = columns of `B`), tagged
 /// with the configuration that produced it so a differently-configured
@@ -281,37 +289,19 @@ impl BfpEngine {
             .expect("tensor data length matches its shape")
     }
 
-    /// [`BfpEngine::pack_rows`] without the `i16` mantissa shadow, for
-    /// consumers that only read the canonical `i32` buffer (the RNS
-    /// forward conversion, the photonic `i64` widening).
-    pub fn pack_rows_wide(t: &Tensor, config: BfpConfig) -> PackedBfpMatrix {
-        let (rows, k) = (t.shape()[0], t.shape()[1]);
-        let mut packed = PackedBfpMatrix::empty(config).without_narrow_shadow();
-        packed
-            .quantize_rows_into(t.data(), rows, k)
-            .expect("tensor data length matches its shape");
-        packed
-    }
-
-    /// Packs the columns of `B` (groups along the reduction dimension):
-    /// the B-side half of [`BfpEngine::gemm`], shared by
+    /// Packs the columns of `B` (groups along the reduction dimension,
+    /// one packed row per column) in one pass over `B`'s row-major
+    /// storage — no transpose ([`PackedBfpMatrix::quantize_cols`]). The
+    /// B-side half of [`BfpEngine::gemm`], shared by
     /// [`GemmEngine::prepare`].
     ///
     /// # Errors
     ///
     /// Returns [`crate::TensorError::RankMismatch`] unless `b` is rank-2.
     pub fn pack_cols(b: &Tensor, config: BfpConfig) -> Result<PackedBfpMatrix> {
-        Ok(Self::pack_rows(&b.transpose2d()?, config))
-    }
-
-    /// [`BfpEngine::pack_cols`] without the `i16` shadow (see
-    /// [`BfpEngine::pack_rows_wide`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::TensorError::RankMismatch`] unless `b` is rank-2.
-    pub fn pack_cols_wide(b: &Tensor, config: BfpConfig) -> Result<PackedBfpMatrix> {
-        Ok(Self::pack_rows_wide(&b.transpose2d()?, config))
+        b.require_rank(2)?;
+        let (k, n) = (b.shape()[0], b.shape()[1]);
+        Ok(PackedBfpMatrix::quantize_cols(b.data(), k, n, config)?)
     }
 
     /// Quantizes the rows of a matrix into BFP groups along the reduction
@@ -344,10 +334,11 @@ impl BfpEngine {
         Ok(Self::quantize_rows(&b.transpose2d()?, config))
     }
 
-    /// The shared flat GEMM kernel: packs the rows of `A` and dots them
-    /// against an already-packed column range of `B`, writing into a
-    /// caller buffer. Shapes are validated once up front; the inner loop
-    /// is a pure integer dot over two contiguous `&[i32]` slices with a
+    /// The shared flat GEMM kernel: packs the rows of `A` (into this
+    /// thread's reused `A_PACKED` buffers) and dots them against an
+    /// already-packed column range of `B`, writing into a caller buffer.
+    /// Shapes are validated once up front; the inner loop is a pure
+    /// integer dot over two contiguous `&[i32]` slices with a
     /// power-of-two scale — no `Result`, no transcendental, no
     /// per-group heap objects. Returns `m`.
     ///
@@ -374,21 +365,45 @@ impl BfpEngine {
                 right: cols.k(),
             });
         }
-        let a_packed = Self::pack_rows(a, self.config);
+        A_PACKED.with(|slot| {
+            let mut slot = slot.borrow_mut();
+            let a_packed = match slot.take() {
+                Some(packed) if packed.config() == self.config => slot.insert(packed),
+                _ => slot.insert(PackedBfpMatrix::empty(self.config)),
+            };
+            a_packed.quantize_rows_into(a.data(), m, k)?;
+            self.dot_packed_into(a_packed, cols, col_start, n, tail, out);
+            Ok(m)
+        })
+    }
+
+    /// The dot half of [`BfpEngine::gemm_with_packed_into`]: the packed
+    /// rows of `A` against a column range of packed `B`.
+    // mirage-lint: no_alloc
+    fn dot_packed_into(
+        &self,
+        a_packed: &PackedBfpMatrix,
+        cols: &PackedBfpMatrix,
+        col_start: usize,
+        n: usize,
+        tail: GemmTail<'_>,
+        out: &mut Vec<f32>,
+    ) {
+        let m = a_packed.rows();
         let fits_i32 = a_packed.dot_fits_i32(cols);
         // Vector tiers first: bit-identical to the scalar kernels below
         // (the simd module carries the proof obligations), declining —
         // via `false` — whenever the operands don't qualify.
         let tier = mirage_bfp::simd::resolve_tier(self.simd);
-        if mirage_bfp::simd::gemm_i16_tail_into(tier, &a_packed, cols, col_start, m, n, tail, out) {
-            return Ok(m);
+        if mirage_bfp::simd::gemm_i16_tail_into(tier, a_packed, cols, col_start, m, n, tail, out) {
+            return;
         }
         // Narrowest exact integer path available: the i16 shadow (SIMD
         // dot idiom), then i32 accumulation, then widening i64 — all
         // producing the same exact group integers.
         match (a_packed.mantissas_i16(), cols.mantissas_i16(), fits_i32) {
             (Some(a16), Some(b16), true) => flat_gemm(
-                &a_packed,
+                a_packed,
                 cols,
                 a16,
                 b16,
@@ -400,7 +415,7 @@ impl BfpEngine {
                 out,
             ),
             (_, _, true) => flat_gemm(
-                &a_packed,
+                a_packed,
                 cols,
                 a_packed.mantissas(),
                 cols.mantissas(),
@@ -412,7 +427,7 @@ impl BfpEngine {
                 out,
             ),
             _ => flat_gemm(
-                &a_packed,
+                a_packed,
                 cols,
                 a_packed.mantissas(),
                 cols.mantissas(),
@@ -424,7 +439,6 @@ impl BfpEngine {
                 out,
             ),
         }
-        Ok(m)
     }
 }
 

@@ -50,8 +50,8 @@
 //! planes, group dots, trusted CRT and recombination as
 //! [`RnsBfpEngine`](super::RnsBfpEngine) — so this engine is
 //! bit-identical to the unprotected RNS path and therefore to
-//! [`BfpEngine`] (the paper's §IV-B equivalence), at the cost of the
-//! redundant channels' dots. Tests pin all three ways.
+//! [`BfpEngine`](super::BfpEngine) (the paper's §IV-B equivalence), at
+//! the cost of the redundant channels' dots. Tests pin all three ways.
 //!
 //! ## Accounting semantics
 //!
@@ -63,7 +63,6 @@
 //! [`FaultScope`](crate::faults::FaultScope), which the serving front
 //! end maps into per-request and server-wide stats.
 
-use super::bfp::BfpEngine;
 use super::rns_bfp::{Checked, PackedRnsMatrix};
 use super::{gemm_dims, Epilogue, GemmEngine, PreparedRhs, RnsBfpEngine};
 use crate::faults::FaultInjector;
@@ -200,14 +199,6 @@ impl ProtectedRnsBfpEngine {
         self.rrns.full_set().len() as f64 / self.rrns.base_len() as f64
     }
 
-    /// Packs and forward-converts the columns of `B` over the full set.
-    fn pack_cols(&self, b: &Tensor) -> Result<PackedRnsMatrix> {
-        Ok(PackedRnsMatrix::from_packed(
-            &BfpEngine::pack_cols_wide(b, self.config())?,
-            self.rrns.full_set(),
-        ))
-    }
-
     /// The shared kernel's protection parameter for one call.
     fn checked(&self) -> Checked<'_> {
         Checked {
@@ -250,9 +241,10 @@ impl GemmEngine for ProtectedRnsBfpEngine {
         "mirage-rns-bfp-protected"
     }
 
-    /// `true` for the clean path: same BFP grouping as [`BfpEngine`],
-    /// exact integer arithmetic per group, so tiles concatenate
-    /// bit-identically and `DenseStep::shard` accepts protected plans.
+    /// `true` for the clean path: same BFP grouping as
+    /// [`BfpEngine`](super::BfpEngine), exact integer arithmetic per
+    /// group, so tiles concatenate bit-identically and
+    /// `DenseStep::shard` accepts protected plans.
     /// With an injector armed, *where* corruptions land depends on the
     /// partition (each call plans the words of its own tile) — but every
     /// corruption is still detected, corrected, or surfaced regardless
@@ -263,7 +255,7 @@ impl GemmEngine for ProtectedRnsBfpEngine {
 
     fn gemm(&self, a: &Tensor, b: &Tensor) -> Result<Tensor> {
         let (_m, _k, n) = gemm_dims(a, b)?;
-        let cols = self.pack_cols(b)?;
+        let cols = PackedRnsMatrix::pack_cols(b, self.config(), self.rrns.full_set())?;
         let mut out = Vec::new();
         let m = self
             .base
@@ -276,7 +268,7 @@ impl GemmEngine for ProtectedRnsBfpEngine {
     /// quantizer nor the forward converter for the weights, redundant
     /// channels included.
     fn prepare(&self, b: &Tensor) -> Result<PreparedRhs> {
-        let packed = self.pack_cols(b)?;
+        let packed = PackedRnsMatrix::pack_cols(b, self.config(), self.rrns.full_set())?;
         PreparedRhs::new(
             self.name(),
             b,
@@ -321,6 +313,7 @@ impl GemmEngine for ProtectedRnsBfpEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engines::BfpEngine;
     use crate::engines::RnsBfpEngine;
     use crate::faults::{FaultConfig, FaultScope};
     use mirage_bfp::SimdPolicy;
@@ -488,8 +481,8 @@ mod tests {
         b: &Tensor,
     ) -> Result<Vec<f32>> {
         let full = engine.rrns.full_set();
-        let a_rns = PackedRnsMatrix::from_packed(&BfpEngine::pack_rows_wide(a, cfg()), full);
-        let cols = engine.pack_cols(b).unwrap();
+        let a_rns = PackedRnsMatrix::pack_rows(a, cfg(), full).unwrap();
+        let cols = PackedRnsMatrix::pack_cols(b, cfg(), full).unwrap();
         let base = mirage_rns::convert::CrtConverter::new(engine.base.moduli());
         let checked = Checked {
             rrns: &engine.rrns,
@@ -562,6 +555,49 @@ mod tests {
             }
         }
         assert!(corrected > 0, "the sweep must correct at least one flip");
+    }
+
+    #[test]
+    fn ragged_column_tails_run_the_lanes_bit_identically() {
+        // n mod 8 != 0: the final column block runs the lanes over a
+        // zero-padded copy of its live columns. Every output bit — and,
+        // protected, every fault count and draw — must match the
+        // scalar kernel's.
+        let bits = |r: Result<Tensor>| r.map(|t| t.data().iter().map(|v| v.to_bits()).collect());
+        let mut injected = 0;
+        for n in 1..=17 {
+            let (a, b) = operands(60 + n as u64, 3, 40, n);
+            let unprotected = |simd| {
+                RnsBfpEngine::with_min_special_set(cfg())
+                    .unwrap()
+                    .with_simd_policy(simd)
+            };
+            let want: Result<Vec<u32>> = bits(unprotected(SimdPolicy::Off).gemm(&a, &b));
+            let lanes = unprotected(SimdPolicy::Auto);
+            assert_eq!(bits(lanes.gemm(&a, &b)), want, "n = {n}");
+            let prepared = lanes.prepare(&b).unwrap();
+            assert_eq!(bits(lanes.gemm_prepared(&a, &prepared)), want, "n = {n}");
+            for rate in [0.0, 0.01] {
+                let run = |simd| {
+                    let injector = Arc::new(FaultInjector::new(
+                        FaultConfig::disabled(n as u64).with_residue_flip_rate(rate),
+                    ));
+                    let mut engine = ProtectedRnsBfpEngine::with_min_special_set(cfg())
+                        .unwrap()
+                        .with_injector(Arc::clone(&injector));
+                    engine.base = engine.base.with_simd_policy(simd);
+                    let out: Result<Vec<u32>> = bits(engine.gemm(&a, &b));
+                    (out, injector.counts(), injector.draws())
+                };
+                let (scalar, lanes) = (run(SimdPolicy::Off), run(SimdPolicy::Auto));
+                assert_eq!(lanes, scalar, "n = {n}, rate {rate}");
+                injected += lanes.1.injected;
+                if rate == 0.0 {
+                    assert_eq!(lanes.0, want, "n = {n}");
+                }
+            }
+        }
+        assert!(injected > 0, "the armed runs must flip tail-block residues");
     }
 
     #[test]

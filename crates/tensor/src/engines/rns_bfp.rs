@@ -1,24 +1,35 @@
 //! BFP GEMM routed bit-exactly through RNS residues.
 
-use super::bfp::BfpEngine;
 use super::{gemm_dims, Epilogue, GemmEngine, PreparedRhs};
 use crate::faults::{FaultInjector, ResidueFault};
 use crate::{Result, Tensor, TensorError};
-use mirage_bfp::{pow2, BfpConfig, PackedBfpMatrix, SimdPolicy, SimdTier};
+#[cfg(test)]
+use mirage_bfp::PackedBfpMatrix;
+use mirage_bfp::{pow2, BfpConfig, GroupSink, SimdPolicy, SimdTier};
 use mirage_rns::convert::{CrtConverter, ReverseConverter};
-use mirage_rns::{simd as rns_simd, ModuliSet, RedundantRns, ResiduePlane, RnsError};
+use mirage_rns::{simd as rns_simd, ModuliSet, Modulus, RedundantRns, ResiduePlane, RnsError};
 use std::iter::Peekable;
 use std::slice;
 use std::sync::Arc;
 
 /// A packed matrix forward-converted into the RNS domain: one flat
 /// residue **plane** per modulus channel covering every group of every
-/// row (same `rows × padded_k` geometry as the [`PackedBfpMatrix`] it
-/// came from, padding lanes holding residue 0), plus the flat per-group
-/// scale exponents. A channel's group dot is one
-/// [`ResiduePlane::group_dot`] over two plane slices — no per-element
-/// `Residue` construction, no per-group heap objects, and the narrowest
-/// exact lane width the modulus permits.
+/// row (the `rows × padded_k` geometry of a [`PackedBfpMatrix`],
+/// padding lanes holding residue 0), plus the flat per-group scale
+/// exponents. A channel's group dot is one [`ResiduePlane::group_dot`]
+/// over two plane slices — no per-element `Residue` construction, no
+/// per-group heap objects, and the narrowest exact lane width the
+/// modulus permits.
+///
+/// Built in **one pass** from the operand's stored layout:
+/// [`PackedRnsMatrix::pack_rows`] (the A side) and
+/// [`PackedRnsMatrix::pack_cols`] (the B side, no transpose) quantize
+/// each group and convert it into every channel plane while its
+/// mantissae are still in registers, so no `i32` mantissa buffer is
+/// ever materialized. Conversion is the branch-free
+/// [`ResiduePlane::write_run`] lane whenever the operating point keeps
+/// every mantissa below the modulus (`max_mantissa < m`, e.g. `bm = 4`
+/// against `{31, 32, 33}`), the exact reduction otherwise.
 #[derive(Debug)]
 pub(crate) struct PackedRnsMatrix {
     pub(crate) rows: usize,
@@ -31,15 +42,101 @@ pub(crate) struct PackedRnsMatrix {
     pub(crate) scale_exps: Vec<i32>,
 }
 
+/// The [`GroupSink`] that forward-converts each finished group into
+/// every channel plane (Fig. 2 step 2).
+struct PlaneSink<'a> {
+    g: usize,
+    max_mantissa: u64,
+    moduli: &'a [Modulus],
+    planes: &'a mut [ResiduePlane],
+    scale_exps: &'a mut [i32],
+}
+
+impl GroupSink for PlaneSink<'_> {
+    #[inline(always)]
+    fn put(&mut self, index: usize, lanes: &[i32], scale_exp: i32) {
+        for (plane, &modulus) in self.planes.iter_mut().zip(self.moduli) {
+            plane.write_run(index * self.g, lanes, modulus, self.max_mantissa);
+        }
+        self.scale_exps[index] = scale_exp;
+    }
+}
+
 impl PackedRnsMatrix {
-    /// Forward conversion (Fig. 2 step 2) of a whole packed matrix:
-    /// each channel reduces the flat mantissa buffer in one pass.
+    /// Quantizes the rows of `a` (groups along each row) and converts
+    /// them into `moduli`'s planes in one pass.
+    pub(crate) fn pack_rows(a: &Tensor, config: BfpConfig, moduli: &ModuliSet) -> Result<Self> {
+        let (rows, k) = (a.shape()[0], a.shape()[1]);
+        Self::pack(rows, k, config, moduli, |sink| {
+            mirage_bfp::pack_rows(a.data(), rows, k, config, sink)
+        })
+    }
+
+    /// Quantizes the columns of `b` (groups down each column, one
+    /// packed row per column) and converts them into `moduli`'s planes
+    /// in one pass over `b`'s row-major storage — the B side shared by
+    /// the RNS-BFP and protected engines' `gemm` and `prepare`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::RankMismatch`] unless `b` is rank-2.
+    pub(crate) fn pack_cols(b: &Tensor, config: BfpConfig, moduli: &ModuliSet) -> Result<Self> {
+        b.require_rank(2)?;
+        let (k, n) = (b.shape()[0], b.shape()[1]);
+        Self::pack(n, k, config, moduli, |sink| {
+            mirage_bfp::pack_cols(b.data(), k, n, config, sink)
+        })
+    }
+
+    /// Sizes the planes for `rows` packed rows of reduction length `k`
+    /// and lets `fill` run a packer into them.
+    fn pack(
+        rows: usize,
+        k: usize,
+        config: BfpConfig,
+        moduli: &ModuliSet,
+        fill: impl FnOnce(&mut PlaneSink<'_>) -> mirage_bfp::Result<()>,
+    ) -> Result<Self> {
+        let g = config.group_size();
+        let groups_per_row = k.div_ceil(g);
+        let lanes = rows * groups_per_row * g;
+        let mut planes: Vec<ResiduePlane> = moduli
+            .moduli()
+            .iter()
+            .map(|&modulus| ResiduePlane::zeroed(lanes, modulus, g))
+            .collect();
+        let mut scale_exps = vec![0; rows * groups_per_row];
+        fill(&mut PlaneSink {
+            g,
+            max_mantissa: config.max_mantissa().unsigned_abs(),
+            moduli: moduli.moduli(),
+            planes: &mut planes,
+            scale_exps: &mut scale_exps,
+        })?;
+        Ok(PackedRnsMatrix {
+            rows,
+            k,
+            groups_per_row,
+            g,
+            planes,
+            scale_exps,
+        })
+    }
+
+    /// The packing this type replaced, kept as the oracle for the
+    /// one-pass packers: a packed mantissa buffer reduced channel by
+    /// channel through [`mirage_rns::Modulus::reduce_i128`].
+    #[cfg(test)]
     pub(crate) fn from_packed(packed: &PackedBfpMatrix, moduli: &ModuliSet) -> Self {
         let g = packed.config().group_size();
         let planes = moduli
             .moduli()
             .iter()
-            .map(|&modulus| ResiduePlane::convert_i32(packed.mantissas(), modulus, g))
+            .map(|&modulus| {
+                let mut plane = ResiduePlane::zeroed(packed.mantissas().len(), modulus, g);
+                plane.write_run(0, packed.mantissas(), modulus, u64::MAX);
+                plane
+            })
             .collect();
         PackedRnsMatrix {
             rows: packed.rows(),
@@ -80,12 +177,15 @@ struct PreparedRnsCols {
 /// (`groups_per_row × 8`, restaged per block). The protected kernel
 /// adds `deltas`, one block's planned fault deltas in the
 /// [`rns_simd::CheckedLanes`] table layout (zero outside a faulted
-/// block), and `residues`, one group's channel residues.
+/// block), and `residues`, one group's channel residues. `tail` holds
+/// the zero-padded 8-column copy of a ragged final block's B planes
+/// (`channels × 8 × stride`, empty when `n` is a multiple of 8).
 struct BlockScratch {
     pa2: Vec<f64>,
     pb2: Vec<f64>,
     deltas: Vec<u32>,
     residues: Vec<u64>,
+    tail: Vec<u16>,
 }
 
 impl BlockScratch {
@@ -283,14 +383,15 @@ fn planned_in(plan: &[ResidueFault], first: u64, end: u64) -> &[ResidueFault] {
 /// accumulation (paper Fig. 2, steps 2–9).
 ///
 /// Because the moduli set satisfies Eq. 13 for the configured `(bm, g)`,
-/// this engine is **bit-identical** to [`BfpEngine`] — which is the
-/// paper's central claim ("the DNN accuracy is determined by the chosen
-/// bm and g and is independent of the exact values of the moduli",
-/// §IV-B). The equivalence is enforced by tests.
+/// this engine is **bit-identical** to [`BfpEngine`](super::BfpEngine)
+/// — which is the paper's central claim ("the DNN accuracy is
+/// determined by the chosen bm and g and is independent of the exact
+/// values of the moduli", §IV-B). The equivalence is enforced by tests.
 ///
-/// Tile-invariant like [`BfpEngine`]: the residue round trip is exact
-/// integer arithmetic per group, so [`crate::parallel::ParallelGemm`]
-/// fans this engine across threads bit-identically.
+/// Tile-invariant like [`BfpEngine`](super::BfpEngine): the residue
+/// round trip is exact integer arithmetic per group, so
+/// [`crate::parallel::ParallelGemm`] fans this engine across threads
+/// bit-identically.
 ///
 /// ```
 /// use mirage_tensor::{Tensor, GemmEngine, engines::RnsBfpEngine};
@@ -421,7 +522,7 @@ impl RnsBfpEngine {
         }
         // Quantize + forward-convert each activation group once, not
         // once per output column.
-        let a_rns = PackedRnsMatrix::from_packed(&BfpEngine::pack_rows_wide(a, self.config), set);
+        let a_rns = PackedRnsMatrix::pack_rows(a, self.config, set)?;
         let groups = a_rns.groups_per_row;
         // One reservation of fault draws for every residue word of the
         // call, in canonical order (see `FaultInjector::residue_fault_plan`).
@@ -453,6 +554,14 @@ impl RnsBfpEngine {
                         }
                     ],
                     residues: vec![0; set.len()],
+                    tail: vec![
+                        0;
+                        if n.is_multiple_of(rns_simd::BLOCK) {
+                            0
+                        } else {
+                            table * g
+                        }
+                    ],
                 };
                 let dims = (m, n);
                 if g == 16 {
@@ -594,13 +703,40 @@ impl RnsBfpEngine {
             };
             let use4 = tier >= SimdTier::Sse2 && G.is_multiple_of(8) && rns_simd::dot4_available();
             let stride = groups * cols.g;
+            let lanes_ready = fused.is_some() || checked_lanes.is_some();
+            let base_planes = [b0, b1, b2];
             let mut acc = [0.0f32; JW];
+            let mut lane_out = [0.0f32; JW];
             for j0 in (0..n).step_by(JW) {
                 let jw = (n - j0).min(JW);
-                if fused.is_some() || checked_lanes.is_some() {
+                if lanes_ready {
                     scratch.stage_block(cols, col_start + j0, jw);
                 }
                 let b_base = cols.group_offset(col_start + j0, 0);
+                // The lanes' view of this block's B planes. A ragged
+                // final block runs the lanes too, over a zero-padded
+                // 8-column copy of its live columns: a dead lane dots
+                // to zero in every channel (consistent, never flagged)
+                // and is never stored.
+                let (mut lane_b, mut lane_b16, mut lane_b_base) = (base_planes, b16, b_base);
+                if lanes_ready && jw < JW && stride > 0 {
+                    let live = if checked_lanes.is_some() {
+                        &b16[..channels]
+                    } else {
+                        &base_planes[..]
+                    };
+                    let block = JW * stride;
+                    for (c, plane) in live.iter().enumerate() {
+                        let staged = &mut scratch.tail[c * block..c * block + jw * stride];
+                        staged.copy_from_slice(&plane[b_base..b_base + jw * stride]);
+                    }
+                    for (view, staged) in lane_b16.iter_mut().zip(scratch.tail.chunks_exact(block))
+                    {
+                        *view = staged;
+                    }
+                    lane_b = [lane_b16[0], lane_b16[1], lane_b16[2]];
+                    lane_b_base = 0;
+                }
                 for i in 0..m {
                     let row_pa2 = &scratch.pa2[i * groups..(i + 1) * groups];
                     let dst = &mut out[i * n + j0..i * n + j0 + jw];
@@ -615,24 +751,27 @@ impl RnsBfpEngine {
                         // Columns the lanes cannot vouch for: all of them
                         // without lanes, else the inconsistent lanes.
                         let mut rerun = (1u32 << jw) - 1;
-                        if let Some(lanes) = checked_lanes.as_ref().filter(|_| jw == JW) {
+                        if let Some(lanes) = &checked_lanes {
                             let layout = (first, groups, channels);
                             let table = stage_deltas(&mut scratch.deltas, faults, layout);
                             let mask = lanes.block8::<G>(
                                 &a16[..channels],
                                 a_rns.group_offset(i, 0),
-                                &b16[..channels],
-                                b_base,
+                                &lane_b16[..channels],
+                                lane_b_base,
                                 stride,
                                 row_pa2,
                                 &scratch.pb2,
                                 table,
-                                dst,
+                                &mut lane_out,
                             );
                             if table.is_some() {
                                 clear_deltas(&mut scratch.deltas, faults, layout);
                             }
-                            rerun = mask.unwrap_or(rerun);
+                            if let Some(mask) = mask {
+                                dst.copy_from_slice(&lane_out[..jw]);
+                                rerun &= mask;
+                            }
                         }
                         while rerun != 0 {
                             let jj = rerun.trailing_zeros() as usize;
@@ -658,13 +797,14 @@ impl RnsBfpEngine {
                         if lanes.block8::<G>(
                             [a0, a1, a2],
                             a_off,
-                            [b0, b1, b2],
-                            b_base,
+                            lane_b,
+                            lane_b_base,
                             stride,
                             row_pa2,
                             &scratch.pb2,
-                            dst,
+                            &mut lane_out,
                         ) {
+                            dst.copy_from_slice(&lane_out[..jw]);
                             continue;
                         }
                     }
@@ -849,14 +989,6 @@ impl RnsBfpEngine {
         }
         Ok(())
     }
-
-    /// Packs and forward-converts the columns of `B`.
-    fn pack_cols(&self, b: &Tensor) -> Result<PackedRnsMatrix> {
-        Ok(PackedRnsMatrix::from_packed(
-            &BfpEngine::pack_cols_wide(b, self.config)?,
-            &self.moduli,
-        ))
-    }
 }
 
 impl GemmEngine for RnsBfpEngine {
@@ -864,8 +996,9 @@ impl GemmEngine for RnsBfpEngine {
         "mirage-rns-bfp"
     }
 
-    /// `true`: same per-row/per-column BFP grouping as [`BfpEngine`];
-    /// the residue round trip is exact integer arithmetic per group.
+    /// `true`: same per-row/per-column BFP grouping as
+    /// [`BfpEngine`](super::BfpEngine); the residue round trip is exact
+    /// integer arithmetic per group.
     fn tile_invariant(&self) -> bool {
         true
     }
@@ -874,7 +1007,7 @@ impl GemmEngine for RnsBfpEngine {
         let (_m, _k, n) = gemm_dims(a, b)?;
         // Forward conversion of the B side (in hardware: shift-based,
         // per §IV-B); the A side converts inside the shared kernel.
-        let cols = self.pack_cols(b)?;
+        let cols = PackedRnsMatrix::pack_cols(b, self.config, &self.moduli)?;
         let mut out = Vec::new();
         let m = self.gemm_with_packed_into(a, &cols, 0, n, &mut out, &())?;
         Tensor::from_vec(out, &[m, n])
@@ -885,7 +1018,7 @@ impl GemmEngine for RnsBfpEngine {
     /// pays neither the quantizer nor the forward converter for the
     /// weights.
     fn prepare(&self, b: &Tensor) -> Result<PreparedRhs> {
-        let packed = self.pack_cols(b)?;
+        let packed = PackedRnsMatrix::pack_cols(b, self.config, &self.moduli)?;
         PreparedRhs::new(
             self.name(),
             b,
@@ -921,7 +1054,8 @@ impl GemmEngine for RnsBfpEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mirage_bfp::BfpBlock;
+    use crate::engines::BfpEngine;
+    use mirage_bfp::{BfpBlock, RoundingMode};
     use mirage_rns::residue;
     use rand::SeedableRng;
 
@@ -974,6 +1108,107 @@ mod tests {
             }
         }
         Tensor::from_vec(out, &[m, n]).unwrap()
+    }
+
+    /// A `k × n` matrix whose groups (along either dimension) cover
+    /// every quantizer branch: ordinary values, NaN/±∞ lanes, all-zero
+    /// stretches and subnormal-only stretches.
+    fn mixed_matrix(k: usize, n: usize, seed: u64) -> Tensor {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let plain = Tensor::randn(&[k, n], 1.0, &mut rng);
+        let tiny = f32::from_bits(5);
+        let data = (0..k * n)
+            .map(|i| {
+                let (r, j) = (i / n, i % n);
+                match (j / 3 + r / 8) % 9 {
+                    0 if (r + j) % 7 == 2 => [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][r % 3],
+                    1 => 0.0,
+                    2 => tiny * (1 + i % 5) as f32 * if i % 2 == 0 { 1.0 } else { -1.0 },
+                    _ => plain.data()[i],
+                }
+            })
+            .collect();
+        Tensor::from_vec(data, &[k, n]).unwrap()
+    }
+
+    /// A plane's tier and widened residues.
+    fn plane_words(plane: &ResiduePlane) -> (usize, Vec<u64>) {
+        match (plane.as_u16(), plane.as_u32(), plane.as_u64()) {
+            (Some(p), _, _) => (16, p.iter().map(|&r| u64::from(r)).collect()),
+            (_, Some(p), _) => (32, p.iter().map(|&r| u64::from(r)).collect()),
+            (_, _, Some(p)) => (64, p.to_vec()),
+            _ => unreachable!("a plane has exactly one tier"),
+        }
+    }
+
+    fn assert_same_packing(got: &PackedRnsMatrix, want: &PackedRnsMatrix, what: &str) {
+        assert_eq!(
+            (got.rows, got.k, got.groups_per_row, got.g),
+            (want.rows, want.k, want.groups_per_row, want.g),
+            "{what}"
+        );
+        assert_eq!(got.scale_exps, want.scale_exps, "{what}");
+        assert_eq!(got.planes.len(), want.planes.len(), "{what}");
+        for (c, (p, q)) in got.planes.iter().zip(&want.planes).enumerate() {
+            assert_eq!(plane_words(p), plane_words(q), "{what}, channel {c}");
+        }
+    }
+
+    #[test]
+    fn one_pass_packers_match_the_transpose_oracle() {
+        // The oracle is the packing the one-pass packers replaced:
+        // `transpose2d`, the row quantizer into an `i32` buffer, then a
+        // `reduce_i128` pass per channel (`from_packed`). Planes, scale
+        // exponents and the BFP engine's `i32`/`i16` buffers must all
+        // be bit-identical, including on channels the branch-free
+        // conversion cannot take (bm = 6 against 63; bm = 4 against
+        // {11, 13, 16, 9}).
+        let sets = [
+            ModuliSet::special_set(5).unwrap(),
+            ModuliSet::special_set(6).unwrap(),
+            ModuliSet::new(&[11, 13, 16, 9]).unwrap(),
+        ];
+        let mut fallback_seen = false;
+        for mode in [RoundingMode::Truncate, RoundingMode::RoundNearest] {
+            for bm in [4u32, 5, 6] {
+                for g in [8usize, 16, 32] {
+                    let config = BfpConfig::new(bm, g).unwrap().with_rounding(mode);
+                    for set in sets.iter() {
+                        if !set.supports_dot_product(bm, g) {
+                            continue;
+                        }
+                        fallback_seen |= set
+                            .moduli()
+                            .iter()
+                            .any(|m| config.max_mantissa() as u64 >= m.value());
+                        for (k, n) in [(g, 8), (2 * g + 3, 13), (g - 1, 1), (5 * g, 17)] {
+                            let b = mixed_matrix(k, n, (bm as usize * 100 + g + k * n) as u64);
+                            let bt = b.transpose2d().unwrap();
+                            let oracle =
+                                PackedBfpMatrix::quantize_rows(bt.data(), n, k, config).unwrap();
+                            let what = format!("{k}x{n} {config} {mode:?} over {set}");
+                            assert_eq!(BfpEngine::pack_cols(&b, config).unwrap(), oracle, "{what}");
+                            assert_same_packing(
+                                &PackedRnsMatrix::pack_cols(&b, config, set).unwrap(),
+                                &PackedRnsMatrix::from_packed(&oracle, set),
+                                &format!("cols {what}"),
+                            );
+                            let rows =
+                                PackedBfpMatrix::quantize_rows(b.data(), k, n, config).unwrap();
+                            assert_same_packing(
+                                &PackedRnsMatrix::pack_rows(&b, config, set).unwrap(),
+                                &PackedRnsMatrix::from_packed(&rows, set),
+                                &format!("rows {what}"),
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            fallback_seen,
+            "the grid must exercise the reduce_i128 fallback"
+        );
     }
 
     #[test]

@@ -63,6 +63,15 @@ pub const THREADS_ENV: &str = "MIRAGE_THREADS";
 /// it does spawn has at least one threshold-sized problem to chew on.
 pub const MIN_PARALLEL_WORK: usize = 32 * 32 * 32;
 
+/// One worker's reusable staging for [`ParallelGemm`]'s row bands: the
+/// band's rows of `A` and one column tile's result, allocated once per
+/// worker instead of once per band and tile.
+#[derive(Default)]
+struct BandStage {
+    a: Vec<f32>,
+    block: Vec<f32>,
+}
+
 /// Tiling geometry and worker count for [`ParallelGemm`].
 ///
 /// A value of `0` in any field means "choose automatically":
@@ -325,7 +334,10 @@ impl<E: GemmEngine> ParallelGemm<E> {
 
     /// Computes every column tile of one output row band (starting at
     /// output row `r0`), writing into the band's slice of the output
-    /// buffer.
+    /// buffer. `stage` is the calling worker's staging, reused across
+    /// its bands and tiles: the band's rows of `A` (borrowed outright
+    /// when the band is all of `A`) and one tile's result.
+    #[allow(clippy::too_many_arguments)]
     fn process_band(
         &self,
         a: &Tensor,
@@ -334,17 +346,31 @@ impl<E: GemmEngine> ParallelGemm<E> {
         k: usize,
         n: usize,
         band: &mut [f32],
+        stage: &mut BandStage,
     ) -> Result<()> {
         let rows = band.len() / n;
-        let a_band = Tensor::from_vec(a.data()[r0 * k..(r0 + rows) * k].to_vec(), &[rows, k])?;
-        for (c0, tile) in col_tiles {
-            let width = tile.n();
-            let block = self.inner.gemm_prepared(&a_band, tile)?;
-            for (out_row, block_row) in band.chunks_mut(n).zip(block.data().chunks(width)) {
+        let staged = if rows == a.shape()[0] {
+            None
+        } else {
+            let mut rows_of_a = std::mem::take(&mut stage.a);
+            rows_of_a.clear();
+            rows_of_a.extend_from_slice(&a.data()[r0 * k..(r0 + rows) * k]);
+            Some(Tensor::from_vec(rows_of_a, &[rows, k])?)
+        };
+        let a_band = staged.as_ref().unwrap_or(a);
+        let result = col_tiles.iter().try_for_each(|(c0, tile)| {
+            let (_, width) = self
+                .inner
+                .gemm_prepared_into(a_band, tile, &mut stage.block)?;
+            for (out_row, block_row) in band.chunks_mut(n).zip(stage.block.chunks(width)) {
                 out_row[*c0..c0 + width].copy_from_slice(block_row);
             }
+            Ok(())
+        });
+        if let Some(staged) = staged {
+            stage.a = staged.into_data();
         }
-        Ok(())
+        result
     }
 
     /// The threaded fan-out shared by [`ParallelGemm::gemm`] and the
@@ -404,8 +430,10 @@ impl<E: GemmEngine> ParallelGemm<E> {
             for bands in per_worker {
                 handles.push(scope.spawn(move || {
                     as_parallel_worker(scoped, || -> Result<()> {
+                        let mut stage = BandStage::default();
                         for (index, band) in bands {
-                            self.process_band(a, col_tiles, index * band_height, k, n, band)?;
+                            let r0 = index * band_height;
+                            self.process_band(a, col_tiles, r0, k, n, band, &mut stage)?;
                         }
                         Ok(())
                     })

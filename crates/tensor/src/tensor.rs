@@ -350,7 +350,8 @@ impl fmt::Display for Tensor {
 }
 
 impl Tensor {
-    fn require_rank(&self, rank: usize) -> Result<()> {
+    /// [`TensorError::RankMismatch`] unless this tensor has rank `rank`.
+    pub(crate) fn require_rank(&self, rank: usize) -> Result<()> {
         if self.rank() != rank {
             return Err(TensorError::RankMismatch {
                 expected: rank,
