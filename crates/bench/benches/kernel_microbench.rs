@@ -17,9 +17,10 @@
 //!   per-group-heap-object kernels (kept here as the oracle) — pinned
 //!   to the scalar kernels (`SimdPolicy::Off`) so the row keeps
 //!   measuring the PR 4 layout gain;
-//! - **SIMD GEMM rows**: the explicit SIMD kernels (AVX2/SSE2 dispatch)
-//!   vs the scalar packed kernels on the same shape, asserted
-//!   bit-identical element-exact before timing and timed as
+//! - **SIMD GEMM rows**: the explicit AVX2 kernels vs the scalar
+//!   kernels on the same shape (for BFP, the scalar panel kernel, also
+//!   at the `serve-bfp-ff768` shapes 1×768×3072 and 32×768×3072),
+//!   asserted bit-identical element-exact before timing and timed as
 //!   order-balanced back-to-back pairs (`mirage_bench::paired_speedup`),
 //!   plus the unprepared RNS-BFP `gemm` at the 256×64×256 training
 //!   backward shape. The `simd` column records the tier each row ran at.
@@ -39,8 +40,8 @@
 //! Every comparison asserts **bit-identity** before timing anything, so
 //! running this bench in `--test` (smoke) mode is a correctness check.
 //! Full runs write `BENCH_kernels.json` for the perf trajectory.
-//! `MIRAGE_SIMD=off` (or `sse2`) caps the SIMD rows' tier, which CI
-//! uses to smoke the scalar and SSE2 paths against the scalar oracle.
+//! `MIRAGE_SIMD=off` caps the SIMD rows' tier, which CI uses to smoke
+//! the scalar paths against the scalar oracle.
 
 use mirage_bench::{paired_speedup, print_table, write_summary, JsonField, PairedSpeedup};
 use mirage_bfp::{simd, BfpBlock, BfpConfig, PackedBfpMatrix, SimdPolicy};
@@ -408,35 +409,40 @@ fn main() {
             JsonField::Num("pairs_kept", r.kept as f64),
         ]);
     };
-    {
+    // The BFP panel kernel at the 64×256×256 training shape and the two
+    // `serve-bfp-ff768` feed-forward shapes: one row (a lone request)
+    // and a full stacked batch of 32.
+    for (bm, bk, bn) in [(M, K, N), (1, 768, 3072), (32, 768, 3072)] {
+        let x = Tensor::randn(&[bm, bk], 1.0, &mut rng);
+        let w = Tensor::randn(&[bk, bn], 1.0, &mut rng);
         let scalar = BfpEngine::new(config).with_simd_policy(SimdPolicy::Off);
         let vector = BfpEngine::new(config); // SimdPolicy::Auto
-        let prepared_scalar = scalar.prepare(&b).unwrap();
-        let prepared_vector = vector.prepare(&b).unwrap();
+        let prepared_scalar = scalar.prepare(&w).unwrap();
+        let prepared_vector = vector.prepare(&w).unwrap();
         assert_same_bits(
-            &scalar.gemm_prepared(&a, &prepared_scalar).unwrap(),
-            &vector.gemm_prepared(&a, &prepared_vector).unwrap(),
-            "SIMD BFP GEMM diverged from the scalar packed kernel",
+            &scalar.gemm_prepared(&x, &prepared_scalar).unwrap(),
+            &vector.gemm_prepared(&x, &prepared_vector).unwrap(),
+            "SIMD BFP GEMM diverged from the scalar panel kernel",
         );
         let r = paired_speedup(
             rounds,
-            reps(4),
+            reps(if bm == 1 { 16 } else { 2 }),
             || {
                 black_box(
                     vector
-                        .gemm_prepared(black_box(&a), &prepared_vector)
+                        .gemm_prepared(black_box(&x), &prepared_vector)
                         .unwrap(),
                 );
             },
             || {
                 black_box(
                     scalar
-                        .gemm_prepared(black_box(&a), &prepared_scalar)
+                        .gemm_prepared(black_box(&x), &prepared_scalar)
                         .unwrap(),
                 );
             },
         );
-        record_simd("bfp gemm (simd)", format!("{M}x{K}x{N}"), r);
+        record_simd("bfp gemm (simd)", format!("{bm}x{bk}x{bn}"), r);
     }
     {
         let scalar = RnsBfpEngine::with_min_special_set(config)

@@ -81,7 +81,7 @@ mod tests {
         if report.avx2 {
             assert!(report.sse2);
         }
-        assert!(["scalar", "sse2", "avx2"].contains(&report.simd_tier));
+        assert!(["scalar", "avx2"].contains(&report.simd_tier));
         #[cfg(target_arch = "x86_64")]
         assert!(report.sse2, "SSE2 is baseline on x86_64");
     }

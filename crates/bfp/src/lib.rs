@@ -34,6 +34,7 @@ mod config;
 mod error;
 mod math;
 mod packed;
+mod panels;
 pub mod simd;
 mod stats;
 mod vector;
@@ -42,9 +43,8 @@ pub use block::{BfpBlock, BfpDotProduct};
 pub use config::{BfpConfig, RoundingMode};
 pub use error::BfpError;
 pub use math::pow2;
-pub use packed::{
-    group_dot, group_dot_i16, group_dot_i32, pack_cols, pack_rows, GroupSink, PackedBfpMatrix,
-};
+pub use packed::{group_dot, group_dot_i32, pack_cols, pack_rows, GroupSink, PackedBfpMatrix};
+pub use panels::{BfpPanels, LaneWidth, NarrowRows};
 pub use simd::{GemmTail, SimdPolicy, SimdTier};
 pub use stats::QuantizationStats;
 pub use vector::BfpVector;

@@ -1,10 +1,13 @@
-//! Packed BFP matrices: flat operand layouts for the GEMM hot path.
+//! Packed BFP matrices: the flat `i32` reference layout, and the
+//! one-pass packers every BFP operand layout is built by.
 //!
 //! [`crate::BfpBlock`] is the *reference* representation — one heap
 //! object per group, convenient for tests and device models, but a
 //! `Vec<Vec<BfpBlock>>` of them pointer-chases on every group dot. A
 //! [`PackedBfpMatrix`] stores the same quantization in two contiguous
-//! buffers:
+//! buffers — the layout the [`PackedBfpMatrix::dot_rows`] oracle and
+//! the device models read (BFP GEMMs read the narrow panels of
+//! [`crate::BfpPanels`]):
 //!
 //! ```text
 //! mantissas  (rows × groups_per_row × g) i32, row-major
@@ -26,7 +29,8 @@
 //! [`pack_rows`] and [`pack_cols`] quantize a row-major `f32` matrix
 //! group by group and hand each finished group to a [`GroupSink`]: the
 //! packed buffers of a [`PackedBfpMatrix`], or any other operand layout
-//! (the RNS engines convert each group straight into residue planes).
+//! (the BFP panels narrow each group into panel order; the RNS engines
+//! convert each group straight into residue planes).
 //! [`pack_cols`] groups along the *columns* of the stored matrix — the
 //! B-side layout of every GEMM — reading `g` rows × 8 columns at a time
 //! with lanewise shared exponents, so no transposed copy of the matrix
@@ -90,13 +94,6 @@ pub struct PackedBfpMatrix {
     config: BfpConfig,
     /// `rows * groups_per_row * g` mantissae, tail groups zero-padded.
     mantissas: Vec<i32>,
-    /// A narrow copy of [`Self::mantissas`], kept when
-    /// `max_mantissa <= i16::MAX` (every `bm <= 15` operating point):
-    /// the flat kernels' `i16 × i16 → i32` multiply-accumulate maps
-    /// onto twice-as-wide SIMD lanes (`pmaddwd` and friends). The `i32`
-    /// buffer stays canonical; this is a same-values shadow, written in
-    /// the same pass.
-    mantissas_i16: Vec<i16>,
     /// `rows * groups_per_row` shared scale exponents.
     scale_exps: Vec<i32>,
 }
@@ -112,7 +109,6 @@ impl PackedBfpMatrix {
             groups_per_row: 0,
             config,
             mantissas: Vec::new(),
-            mantissas_i16: Vec::new(),
             scale_exps: Vec::new(),
         }
     }
@@ -176,10 +172,7 @@ impl PackedBfpMatrix {
         self.rows = rows;
         self.k = k;
         self.groups_per_row = groups_per_row;
-        let lanes = rows * groups_per_row * g;
-        self.mantissas.resize(lanes, 0);
-        let narrow = self.config.max_mantissa() <= i64::from(i16::MAX);
-        self.mantissas_i16.resize(if narrow { lanes } else { 0 }, 0);
+        self.mantissas.resize(rows * groups_per_row * g, 0);
         self.scale_exps.resize(rows * groups_per_row, 0);
     }
 
@@ -188,7 +181,6 @@ impl PackedBfpMatrix {
         BufferSink {
             g: self.config.group_size(),
             mantissas: &mut self.mantissas,
-            mantissas_i16: &mut self.mantissas_i16,
             scale_exps: &mut self.scale_exps,
         }
     }
@@ -221,14 +213,6 @@ impl PackedBfpMatrix {
     /// The whole flat mantissa buffer (`rows * padded_k`, row-major).
     pub fn mantissas(&self) -> &[i32] {
         &self.mantissas
-    }
-
-    /// The narrow `i16` shadow of [`Self::mantissas`] (same layout,
-    /// same values), present whenever the operating point's mantissae
-    /// fit (`bm <= 15`). Kernels pair it with
-    /// [`PackedBfpMatrix::dot_fits_i32`] to run [`group_dot_i16`].
-    pub fn mantissas_i16(&self) -> Option<&[i16]> {
-        (self.mantissas_i16.len() == self.mantissas.len()).then_some(&self.mantissas_i16[..])
     }
 
     /// The whole flat scale-exponent buffer (`rows * groups_per_row`).
@@ -316,11 +300,10 @@ impl PackedBfpMatrix {
 }
 
 /// The [`GroupSink`] behind [`PackedBfpMatrix`]: each group's lanes
-/// land in the `i32` buffer and, when present, the `i16` shadow.
+/// land in the `i32` buffer.
 struct BufferSink<'a> {
     g: usize,
     mantissas: &'a mut [i32],
-    mantissas_i16: &'a mut [i16],
     scale_exps: &'a mut [i32],
 }
 
@@ -329,12 +312,6 @@ impl GroupSink for BufferSink<'_> {
     fn put(&mut self, index: usize, lanes: &[i32], scale_exp: i32) {
         let base = index * self.g;
         self.mantissas[base..base + self.g].copy_from_slice(lanes);
-        if !self.mantissas_i16.is_empty() {
-            let narrow = &mut self.mantissas_i16[base..base + self.g];
-            for (n, &lane) in narrow.iter_mut().zip(lanes) {
-                *n = lane as i16;
-            }
-        }
         self.scale_exps[index] = scale_exp;
     }
 }
@@ -644,8 +621,8 @@ impl GroupQuantizer {
     }
 }
 
-// The three group-dot kernels below are the innermost loops of every
-// packed GEMM: pure integer multiply-accumulate over quantized
+// The two group-dot kernels below are the innermost loops of the
+// `dot_rows` oracle: pure integer multiply-accumulate over quantized
 // mantissae. Any floating point here would silently break the exact
 // BFP arithmetic (paper §IV-B), so the region is machine-checked.
 // mirage-lint: region(int_kernel)
@@ -675,21 +652,6 @@ pub fn group_dot_i32(a: &[i32], b: &[i32]) -> i64 {
     let mut acc = 0i32;
     for (&x, &w) in a.iter().zip(b) {
         acc += x * w;
-    }
-    i64::from(acc)
-}
-
-/// [`group_dot_i32`] over the narrow [`PackedBfpMatrix::mantissas_i16`]
-/// shadow: the `i16 × i16 → i32` multiply-accumulate is the SIMD dot
-/// idiom (`pmaddwd`), packing twice as many lanes again. Same caller
-/// contract as [`group_dot_i32`]; same exact integer result.
-// mirage-lint: no_alloc
-#[inline]
-pub fn group_dot_i16(a: &[i16], b: &[i16]) -> i64 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = 0i32;
-    for (&x, &w) in a.iter().zip(b) {
-        acc += i32::from(x) * i32::from(w);
     }
     i64::from(acc)
 }
@@ -923,9 +885,6 @@ mod tests {
                             .unwrap();
                     let got = PackedBfpMatrix::quantize_cols(&data, k, n, config).unwrap();
                     assert_eq!(got, want, "{k}x{n} {config} {mode:?}");
-                    if !got.mantissas().is_empty() {
-                        assert_eq!(got.mantissas_i16().is_some(), bm <= 15);
-                    }
                 }
             }
         }

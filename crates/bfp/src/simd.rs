@@ -1,24 +1,41 @@
-//! Explicit SIMD kernels for the packed BFP GEMM hot path.
+//! The explicit SIMD kernel of every BFP GEMM: one register-blocked
+//! AVX2 kernel over `i8` column panels ([`crate::BfpPanels`]).
 //!
-//! The scalar flat kernels in [`crate::packed`] remain the semantic
-//! oracle; this module adds `core::arch::x86_64` implementations of the
-//! same arithmetic — `i16 × i16 → i32` multiply-accumulate (`pmaddwd`)
-//! over the contiguous [`PackedBfpMatrix`] mantissa buffers — selected
-//! at runtime and **bit-identical** to the scalar path by construction:
+//! The scalar panel kernel in [`crate::panels`] is the semantic oracle;
+//! [`gemm_panels_into`] runs this module's AVX2 kernel on `i8` panels
+//! (every `bm ≤ 7` operating point, the paper's `bm = 4` included) and
+//! the scalar kernel everywhere else. The AVX2 kernel is
+//! **bit-identical** to the scalar one by construction:
 //!
-//! - Integer dots are exact in any association order. The engines only
-//!   take this path under the [`PackedBfpMatrix::dot_fits_i32`] bound
-//!   (`g · max_a · max_b ≤ i32::MAX`), so every partial sum of a
-//!   column's products — including `pmaddwd`'s pairwise sums and the
-//!   horizontal-add reduction tree — is bounded and never wraps, and
-//!   integer addition is associative. The SIMD lane order therefore
-//!   yields the *same exact integer* as the scalar left-to-right loop.
-//! - Scale recombination applies, per column, the identical operation
-//!   chain as the scalar kernel: `(dot as f64) * (pow2(ae) * pow2(be))`
-//!   rounded to `f32` (`vcvtpd2ps` rounds to nearest-even, exactly like
-//!   `as f32`), accumulated in ascending group order. k-order and group
-//!   order are unchanged; only which *columns* share an instruction
-//!   changes, and columns are independent.
+//! - **Products are exact.** `pmaddubsw` multiplies an unsigned byte by
+//!   a signed byte. The kernel feeds it `|a|` and `sign(b, a)` (`b`
+//!   negated where `a < 0`, zeroed where `a = 0`), so each product is
+//!   `|a| · sign(a) · b = a · b`. `i8` lanes hold `bm ≤ 7` mantissas,
+//!   so `|a|, |b| ≤ 127`: `|a|` fits the unsigned operand, `−b` never
+//!   overflows, and each `pmaddubsw` pair sum is at most `2 · 127² =
+//!   32258 < 2¹⁵`, so it never saturates.
+//! - **Group sums are exact.** Each 16-bit lane adds its pair sums over
+//!   the group's quads in `i16` only when the whole group fits,
+//!   `2 · quads · max² ≤ i16::MAX` ([`i16_group_sums_fit`], checked once
+//!   per GEMM — `g/2 · max_a · max_b` for `g` a multiple of 4); then one
+//!   `pmaddwd(·, 1)` per group widens adjacent lanes into the column's
+//!   `i32` dot. Otherwise every quad's pair sums widen at once. Integer
+//!   addition is associative, so any lane order yields the same exact
+//!   integer as the scalar loop.
+//! - **One column per lane.** A 32-byte panel quad holds 4 k-lanes of 8
+//!   columns, so after the widening each column's dot sits in its own
+//!   `i32` lane — no horizontal reduction.
+//! - **Same recombination.** Per column, `(dot as f64) · (pow2(ae) ·
+//!   pow2(be))` rounded to `f32` (`vcvtpd2ps` rounds to nearest-even,
+//!   like `as f32`), accumulated in ascending group order. `pow2(be)`
+//!   is assembled from the exponent bits; every quantizer scale
+//!   exponent lies in `[−171, 127]`, inside the normal `f64` range where
+//!   that is exactly [`crate::pow2`]. Every product is an exact `f64`
+//!   (an integer below 2³¹ times a power of two in `[2⁻³⁴², 2²⁵⁴]`), so
+//!   the only rounding is the one to `f32`, the same as the scalar's.
+//!
+//! Each register block covers up to 4 rows × one 8-column panel: one
+//! `B` load serves every row of the block.
 //!
 //! ## Dispatch
 //!
@@ -26,12 +43,10 @@
 //! scalar kernel:
 //!
 //! 1. **Compile time** — non-x86_64 targets compile only the scalar
-//!    fallback.
-//! 2. **Run time** — `is_x86_feature_detected!("avx2")` picks the
-//!    256-bit tier; plain x86_64 always has SSE2 (baseline feature).
+//!    kernel.
+//! 2. **Run time** — `is_x86_feature_detected!("avx2")`.
 //! 3. **Environment** — `MIRAGE_SIMD=off` forces scalar (the CI smoke
-//!    runs use it to keep the fallback exercised), `MIRAGE_SIMD=sse2`
-//!    caps the tier, `auto`/unset detects.
+//!    runs use it to keep the fallback exercised), `auto`/unset detects.
 //!
 //! Engines additionally carry a per-instance [`SimdPolicy`] so tests
 //! and benches can diff tiers in-process (the environment knob is
@@ -46,15 +61,15 @@
 //! bounds are validated once at the safe entry point.
 #![allow(unsafe_code)]
 
-use crate::math::pow2;
-use crate::packed::{group_dot_i16, PackedBfpMatrix};
+use crate::panels::{check_shapes, gemm_scalar, BfpPanels, NarrowRows, QUAD};
+use crate::{BfpConfig, Result};
 use std::sync::OnceLock;
 
 /// The environment variable gating SIMD dispatch workspace-wide.
 ///
 /// Values: `off`/`0`/`false`/`scalar` force the scalar kernels,
-/// `sse2` caps the tier at SSE2, `avx2`/`auto` (and unset) detect the
-/// best tier at runtime. Unknown values warn and behave like `auto`.
+/// `avx2`/`auto` (and unset) detect the best tier at runtime. The
+/// retired `sse2` value and unknown values warn and behave like `auto`.
 pub const SIMD_ENV: &str = "MIRAGE_SIMD";
 
 /// Instruction-set tier the dispatcher resolved, ordered by width.
@@ -62,9 +77,7 @@ pub const SIMD_ENV: &str = "MIRAGE_SIMD";
 pub enum SimdTier {
     /// Scalar fallback — always available, the bit-identity oracle.
     Scalar,
-    /// 128-bit `pmaddwd` kernels (baseline on every x86_64).
-    Sse2,
-    /// 256-bit `vpmaddwd` kernels (runtime-detected).
+    /// 256-bit kernels (runtime-detected).
     Avx2,
 }
 
@@ -73,7 +86,6 @@ impl SimdTier {
     pub fn label(self) -> &'static str {
         match self {
             SimdTier::Scalar => "scalar",
-            SimdTier::Sse2 => "sse2",
             SimdTier::Avx2 => "avx2",
         }
     }
@@ -88,11 +100,32 @@ pub enum SimdPolicy {
     /// Use the best tier the environment and CPU allow (default).
     #[default]
     Auto,
-    /// Cap this instance at the SSE2 tier (tier-diff testing).
-    Sse2,
     /// Force this instance scalar — the oracle side of every
     /// SIMD-vs-scalar bit-identity assertion.
     Off,
+}
+
+/// The tier cap a `MIRAGE_SIMD` value asks for, plus a warning for
+/// values that are not understood (detection proceeds either way).
+fn parse_env(value: &str) -> (SimdTier, Option<String>) {
+    match value.trim().to_ascii_lowercase().as_str() {
+        "off" | "0" | "false" | "scalar" => (SimdTier::Scalar, None),
+        "avx2" | "auto" | "" => (SimdTier::Avx2, None),
+        "sse2" => (
+            SimdTier::Avx2,
+            Some(format!(
+                "mirage-bfp: {SIMD_ENV}=sse2 names a removed tier (want off|avx2|auto); \
+                 detecting"
+            )),
+        ),
+        other => (
+            SimdTier::Avx2,
+            Some(format!(
+                "mirage-bfp: ignoring unparsable {SIMD_ENV}={other:?} (want off|avx2|auto); \
+                 detecting"
+            )),
+        ),
+    }
 }
 
 /// The process-wide tier from `MIRAGE_SIMD` + CPU detection, cached.
@@ -100,19 +133,13 @@ fn env_tier() -> SimdTier {
     static TIER: OnceLock<SimdTier> = OnceLock::new();
     *TIER.get_or_init(|| {
         let cap = match std::env::var(SIMD_ENV) {
-            Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-                "off" | "0" | "false" | "scalar" => SimdTier::Scalar,
-                "sse2" => SimdTier::Sse2,
-                "avx2" | "auto" | "" => SimdTier::Avx2,
-                other => {
-                    eprintln!(
-                        "mirage-bfp: ignoring unparsable {SIMD_ENV}={other:?} (want \
-                         off|sse2|avx2|auto); detecting"
-                    );
-                    debug_assert!(false, "unparsable {SIMD_ENV}: {other:?}");
-                    SimdTier::Avx2
+            Ok(v) => {
+                let (cap, warning) = parse_env(&v);
+                if let Some(warning) = warning {
+                    eprintln!("{warning}");
                 }
-            },
+                cap
+            }
             Err(_) => SimdTier::Avx2,
         };
         cap.min(detected_tier())
@@ -124,15 +151,10 @@ fn detected_tier() -> SimdTier {
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx2") {
-            SimdTier::Avx2
-        } else {
-            SimdTier::Sse2
+            return SimdTier::Avx2;
         }
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        SimdTier::Scalar
-    }
+    SimdTier::Scalar
 }
 
 /// Resolves an instance policy against the process-wide environment
@@ -140,7 +162,6 @@ fn detected_tier() -> SimdTier {
 pub fn resolve_tier(policy: SimdPolicy) -> SimdTier {
     match policy {
         SimdPolicy::Off => SimdTier::Scalar,
-        SimdPolicy::Sse2 => SimdTier::Sse2.min(env_tier()),
         SimdPolicy::Auto => env_tier(),
     }
 }
@@ -193,646 +214,549 @@ impl GemmTail<'_> {
     }
 }
 
-/// Attempts the vectorized flat GEMM over two packed matrices (`a`
-/// rows × a `col_start..col_start + n` row range of `cols`, the packed
-/// `Bᵀ`), writing the `m × n` result into `out`.
+/// Whether a group's `pmaddubsw` pair sums can accumulate in `i16`
+/// lanes: every 16-bit lane adds two products per quad, so the bound is
+/// `2 · quads · max_mantissa² ≤ i16::MAX`. True at the paper's `bm = 4`
+/// for every `g ≤ 288`; false at `bm = 7` from `g = 5` on, where the
+/// kernel widens after every quad instead.
+pub fn i16_group_sums_fit(config: BfpConfig) -> bool {
+    let quads = config.group_size().div_ceil(QUAD) as u128;
+    let max = config.max_mantissa() as u128;
+    2 * quads * max * max <= i16::MAX as u128
+}
+
+/// The BFP GEMM over narrow operands: the rows of `a` against the
+/// `col_start .. col_start + n` column window of the panels `b`,
+/// writing the `a.rows() × n` result into `out` with the fused `tail`.
 ///
-/// Returns `false` — leaving `out` untouched — when the operands don't
-/// qualify (no `i16` shadow, `dot_fits_i32` violated, group size not a
-/// multiple of 16, scalar tier): the caller then runs the scalar flat
-/// kernel. On `true`, the result is bit-identical to the scalar kernel
-/// (see the module docs for the argument).
-pub fn gemm_i16_into(
+/// `i8` panels at [`SimdTier::Avx2`] run the register-blocked AVX2
+/// kernel; everything else runs the scalar panel kernel. Both are
+/// bit-identical (see the module docs).
+///
+/// # Errors
+///
+/// [`crate::BfpError::LengthMismatch`] when the operands were quantized
+/// at different configurations or reduction lengths, the window leaves
+/// `b`, or a bias is not `n` long.
+// mirage-lint: no_alloc
+pub fn gemm_panels_into(
     tier: SimdTier,
-    a: &PackedBfpMatrix,
-    cols: &PackedBfpMatrix,
+    a: &NarrowRows,
+    b: &BfpPanels,
     col_start: usize,
-    m: usize,
-    n: usize,
-    out: &mut Vec<f32>,
-) -> bool {
-    gemm_i16_tail_into(tier, a, cols, col_start, m, n, GemmTail::none(), out)
-}
-
-/// [`gemm_i16_into`] with a fused [`GemmTail`]: bias and ReLU are
-/// applied to the accumulator registers before each output store, so
-/// the epilogue costs zero extra passes over `out`. Declines (returns
-/// `false`) under the same conditions as [`gemm_i16_into`], plus a
-/// bias whose length is not exactly `n`.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_i16_tail_into(
-    tier: SimdTier,
-    a: &PackedBfpMatrix,
-    cols: &PackedBfpMatrix,
-    col_start: usize,
-    m: usize,
     n: usize,
     tail: GemmTail<'_>,
     out: &mut Vec<f32>,
-) -> bool {
-    let g = a.config().group_size();
-    if tier == SimdTier::Scalar || !g.is_multiple_of(16) {
-        return false;
-    }
-    if !a.dot_fits_i32(cols) || a.mantissas_i16().is_none() || cols.mantissas_i16().is_none() {
-        return false;
-    }
-    if a.rows() < m || cols.rows() < col_start + n || cols.k() != a.k() {
-        return false;
-    }
-    if tail.bias.is_some_and(|b| b.len() != n) {
-        return false;
-    }
-    debug_assert_eq!(a.padded_k(), cols.padded_k());
+) -> Result<()> {
+    check_shapes(a, b, col_start, n, &tail)?;
     out.clear();
-    out.resize(m * n, 0.0);
-    match tier {
-        SimdTier::Scalar => false,
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx2 => {
-            if !std::arch::is_x86_feature_detected!("avx2") {
-                return false;
-            }
+    out.resize(a.rows() * n, 0.0);
+    #[cfg(target_arch = "x86_64")]
+    if tier == SimdTier::Avx2 && std::arch::is_x86_feature_detected!("avx2") {
+        if let Some(ops) = x86::Operands::new(a, b) {
+            let window = (col_start, n);
             // SAFETY: AVX2 is verified present on this CPU immediately
-            // above; all slice bounds the kernel dereferences are
-            // validated by the shape checks at the top of this function
-            // (including `bias.len() == n`).
-            unsafe { x86::gemm_avx2(a, cols, col_start, m, n, tail, out) };
-            true
-        }
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Sse2 => {
-            // SAFETY: SSE2 is a baseline feature of the x86_64 ABI —
-            // present on every CPU this cfg-gated arm can run on; the
-            // slice bounds the kernel dereferences are validated above.
-            unsafe { x86::gemm_sse2(a, cols, col_start, m, n, tail, out) };
-            true
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => false,
-    }
-}
-
-/// The ragged column tail (and any column range narrower than a vector
-/// block): plain scalar code running the *same* per-column chain as the
-/// vector kernels and the scalar flat kernel — `group_dot_i16`, then
-/// `(dot as f64 * (pow2(ae) * pow2(be))) as f32` accumulated in
-/// ascending group order.
-#[allow(clippy::too_many_arguments)]
-fn scalar_columns(
-    a: &PackedBfpMatrix,
-    cols: &PackedBfpMatrix,
-    col_start: usize,
-    j0: usize,
-    jw: usize,
-    m: usize,
-    n: usize,
-    tail: GemmTail<'_>,
-    out: &mut [f32],
-) {
-    let (Some(a16), Some(b16)) = (a.mantissas_i16(), cols.mantissas_i16()) else {
-        debug_assert!(false, "scalar_columns called without i16 shadows");
-        return;
-    };
-    let g = a.config().group_size();
-    let groups = a.groups_per_row();
-    let padded = a.padded_k();
-    for i in 0..m {
-        let a_row = &a16[i * padded..(i + 1) * padded];
-        let a_exps = a.row_scale_exps(i);
-        for jj in 0..jw {
-            let col = col_start + j0 + jj;
-            let b_row = &b16[col * padded..(col + 1) * padded];
-            let b_exps = cols.row_scale_exps(col);
-            let mut acc = 0.0f32;
-            for gi in 0..groups {
-                let base = gi * g;
-                let dot = group_dot_i16(&a_row[base..base + g], &b_row[base..base + g]);
-                acc += (dot as f64 * (pow2(a_exps[gi]) * pow2(b_exps[gi]))) as f32;
+            // above; `check_shapes` validated equal configurations and
+            // reduction lengths, a window inside `b` and a bias of `n`
+            // lanes, `Operands::new` validated the lane and exponent
+            // buffer lengths, and `out` holds `rows · n` lanes.
+            unsafe {
+                if i16_group_sums_fit(a.config()) {
+                    x86::gemm_avx2::<false>(&ops, window, tail, out);
+                } else {
+                    x86::gemm_avx2::<true>(&ops, window, tail, out);
+                }
             }
-            out[i * n + j0 + jj] = tail.fold(acc, j0 + jj);
+            return Ok(());
         }
     }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = tier;
+    gemm_scalar(a, b, col_start, n, tail, out);
+    Ok(())
 }
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{pow2, scalar_columns, GemmTail, PackedBfpMatrix};
+    use super::GemmTail;
+    use crate::panels::{live_lanes, BfpPanels, Lanes, NarrowRows, PANEL, QUAD};
     use core::arch::x86_64::*;
 
-    /// Columns per AVX2 block: one `__m256` of output accumulators.
-    const JW8: usize = 8;
-    /// Columns per SSE2 block: one `__m128` of output accumulators.
-    const JW4: usize = 4;
+    /// Rows per register block.
+    const ROWS: usize = 4;
 
-    /// The 256-bit flat GEMM kernel. Layout and loop order mirror the
-    /// scalar flat kernel; see the module docs for the bit-identity
-    /// argument.
+    /// The validated `i8` buffers and geometry of one GEMM.
+    pub(super) struct Operands<'a> {
+        a: &'a [i8],
+        a_exps: &'a [i32],
+        b: &'a [i8],
+        b_exps: &'a [i32],
+        rows: usize,
+        groups: usize,
+        quads: usize,
+    }
+
+    impl<'a> Operands<'a> {
+        /// The operands' `i8` lanes, or `None` for wider panels. The
+        /// shapes must already agree (`check_shapes`); this checks the
+        /// buffer lengths every kernel access relies on.
+        pub(super) fn new(a: &'a NarrowRows, b: &'a BfpPanels) -> Option<Self> {
+            let (Lanes::I8(al), Lanes::I8(bl)) = (&a.lanes, &b.lanes) else {
+                return None;
+            };
+            let (rows, groups, quads) = (a.rows(), b.groups, b.quads);
+            let row_lanes = groups * quads * QUAD;
+            let panels = b.n().div_ceil(PANEL);
+            let fits = al.len() == rows * row_lanes
+                && a.scale_exps.len() == rows * groups
+                && bl.len() == panels * row_lanes * PANEL
+                && b.scale_exps.len() == panels * groups * PANEL;
+            fits.then_some(Operands {
+                a: al,
+                a_exps: &a.scale_exps,
+                b: bl,
+                b_exps: &b.scale_exps,
+                rows,
+                groups,
+                quads,
+            })
+        }
+    }
+
+    /// The panel GEMM: for each panel of the window, row blocks of up
+    /// to [`ROWS`] rows, each a register-resident 8-column accumulator
+    /// per row. `WIDEN` widens every quad's pair sums to `i32` at once
+    /// (when [`super::i16_group_sums_fit`] fails).
     ///
     /// # Safety
     ///
-    /// AVX2 must be available at runtime, and `a`/`cols` must satisfy
-    /// the shape checks of [`super::gemm_i16_tail_into`] (equal `k`,
-    /// equal padded widths, `i16` shadows present, `col_start + n`
-    /// within `cols`, `out.len() == m * n`, any bias of length `n`).
+    /// AVX2 must be available; `ops` must come from
+    /// [`Operands::new`] on operands that passed `check_shapes` for
+    /// this window and tail, and `out` must hold `ops.rows · n` lanes.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn gemm_avx2(
-        a: &PackedBfpMatrix,
-        cols: &PackedBfpMatrix,
-        col_start: usize,
-        m: usize,
-        n: usize,
+    pub(super) unsafe fn gemm_avx2<const WIDEN: bool>(
+        ops: &Operands<'_>,
+        (col_start, n): (usize, usize),
         tail: GemmTail<'_>,
         out: &mut [f32],
     ) {
-        let (Some(a16), Some(b16)) = (a.mantissas_i16(), cols.mantissas_i16()) else {
-            debug_assert!(false, "gemm_avx2 called without i16 shadows");
-            return;
-        };
-        let g = a.config().group_size();
-        let vecs = g / 16;
-        let groups = a.groups_per_row();
-        let padded = a.padded_k();
-        // Per-block B-side scale factors, staged like the scalar
-        // kernel's `bexp2` buffer (one allocation per GEMM call).
-        let mut bexp2 = vec![0.0f64; groups * JW8];
-        for j0 in (0..n).step_by(JW8) {
-            let jw = (n - j0).min(JW8);
-            if jw < JW8 {
-                scalar_columns(a, cols, col_start, j0, jw, m, n, tail, out);
-                continue;
-            }
-            // The block's fused-tail bias lanes (validated `len == n`
-            // by the dispatcher; this is a full-width block).
-            // SAFETY: `j0 + 8 <= n == bias.len()`.
-            let bias_v = tail
-                .bias
-                .map(|b| unsafe { _mm256_loadu_ps(b.as_ptr().add(j0)) });
-            for gi in 0..groups {
-                for jj in 0..jw {
-                    bexp2[gi * JW8 + jj] = pow2(cols.row_scale_exps(col_start + j0 + jj)[gi]);
+        for p in col_start / PANEL..(col_start + n).div_ceil(PANEL) {
+            let (lo, hi, j0) = live_lanes(p, col_start, n);
+            // The panel's bias lanes (dead lanes are never stored).
+            let mut bias = [0.0f32; PANEL];
+            if let Some(b) = tail.bias {
+                for (c, slot) in bias.iter_mut().enumerate().take(hi).skip(lo) {
+                    *slot = b[(j0 + c as isize) as usize];
                 }
             }
-            for i in 0..m {
-                let a_row = &a16[i * padded..(i + 1) * padded];
-                let a_exps = a.row_scale_exps(i);
-                let mut acc = _mm256_setzero_ps();
-                for (gi, &a_exp) in a_exps.iter().enumerate().take(groups) {
-                    let base = gi * g;
-                    let b_base = (col_start + j0) * padded + base;
-                    debug_assert!(b_base + (JW8 - 1) * padded + g <= b16.len());
-                    // Integer dots for the block's 8 columns — exact in
-                    // any association order under the dot_fits_i32
-                    // bound (module docs).
-                    // mirage-lint: region(int_kernel)
-                    // SAFETY: `a_row` spans `padded >= base + g` lanes
-                    // and the column groups are in bounds
-                    // (debug-checked above); AVX2 was verified by the
-                    // dispatcher.
-                    let sums =
-                        unsafe { dot8_i16(a_row.as_ptr().add(base), b16, b_base, padded, vecs) };
-                    // mirage-lint: end_region(int_kernel)
-                    // Scale recombination, 4 f64 lanes at a time: the
-                    // same `(dot as f64) * (pa2 * be2)` chain as the
-                    // scalar kernel, `vcvtpd2ps` rounding to
-                    // nearest-even exactly like `as f32`.
-                    let pa2 = _mm256_set1_pd(pow2(a_exp));
-                    // SAFETY: `bexp2` holds `groups * 8` doubles and
-                    // `gi < groups`, so both 4-lane loads are in range.
-                    let (be_lo, be_hi) = unsafe {
-                        (
-                            _mm256_loadu_pd(bexp2.as_ptr().add(gi * JW8)),
-                            _mm256_loadu_pd(bexp2.as_ptr().add(gi * JW8 + 4)),
-                        )
-                    };
-                    let lo = _mm256_cvtpd_ps(_mm256_mul_pd(
-                        _mm256_cvtepi32_pd(_mm256_castsi256_si128(sums)),
-                        _mm256_mul_pd(pa2, be_lo),
-                    ));
-                    let hi = _mm256_cvtpd_ps(_mm256_mul_pd(
-                        _mm256_cvtepi32_pd(_mm256_extracti128_si256::<1>(sums)),
-                        _mm256_mul_pd(pa2, be_hi),
-                    ));
-                    acc = _mm256_add_ps(acc, _mm256_set_m128(hi, lo));
+            let store = Store {
+                tail,
+                // SAFETY: `bias` is a local array of 8 `f32`s.
+                bias: unsafe { _mm256_loadu_ps(bias.as_ptr()) },
+                lanes: (lo, hi),
+                j0,
+                n,
+            };
+            let mut i = 0;
+            while i + ROWS <= ops.rows {
+                // SAFETY: rows `i .. i + 4` exist and panel `p` lies in
+                // the validated window (this function's contract).
+                unsafe { store.rows(block::<ROWS, WIDEN>(ops, p, i), i, out) };
+                i += ROWS;
+            }
+            // SAFETY: as above, for the 1–3 remaining rows.
+            unsafe {
+                match ops.rows - i {
+                    3 => store.rows(block::<3, WIDEN>(ops, p, i), i, out),
+                    2 => store.rows(block::<2, WIDEN>(ops, p, i), i, out),
+                    1 => store.rows(block::<1, WIDEN>(ops, p, i), i, out),
+                    _ => {}
                 }
-                // Fused tail: the same `(v + b).max(0.0)` chain a
-                // post-pass would run over the stored values, applied
-                // lane-wise to the accumulator registers instead —
-                // bit-identical, zero extra passes over `out`.
-                if let Some(bias) = bias_v {
-                    acc = _mm256_add_ps(acc, bias);
-                }
-                if tail.relu {
-                    acc = _mm256_max_ps(acc, _mm256_setzero_ps());
-                }
-                // SAFETY: `out.len() == m * n`, `i < m`, and this is a
-                // full-width block (`j0 + 8 <= n`), so the 8-lane store
-                // ends at most at `(i + 1) * n`.
-                unsafe { _mm256_storeu_ps(out.as_mut_ptr().add(i * n + j0), acc) };
             }
         }
     }
 
-    /// 8 column dots of one activation group: `vpmaddwd` per column,
-    /// then a horizontal-add tree folding the 8 partial vectors into
-    /// one `[dot0..dot7]` vector. Every intermediate is a subset-sum of
-    /// a single column's products, so the dot_fits_i32 bound keeps all
-    /// of them exact.
+    /// One register block: rows `i0 .. i0 + R` against panel `p`, all
+    /// groups, returning each row's 8 recombined column accumulators.
     ///
     /// # Safety
     ///
-    /// AVX2 must be enabled; `a_g` must point at `16 * vecs` readable
-    /// `i16`s and `b[b_base + c * stride .. + 16 * vecs]` must be in
-    /// bounds for `c < 8`.
-    // mirage-lint: region(int_kernel)
+    /// AVX2 must be available, rows `i0 .. i0 + R` must exist and panel
+    /// `p` must be a panel of `ops.b` (see [`gemm_avx2`]).
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn dot8_i16(
-        a_g: *const i16,
-        b: &[i16],
-        b_base: usize,
-        stride: usize,
-        vecs: usize,
-    ) -> __m256i {
-        let mut v = [_mm256_setzero_si256(); 8];
-        for t in 0..vecs {
-            // SAFETY: caller guarantees `a_g` spans `16 * vecs` lanes.
-            let av = unsafe { _mm256_loadu_si256(a_g.add(t * 16).cast()) };
-            for (c, slot) in v.iter_mut().enumerate() {
-                let off = b_base + c * stride + t * 16;
-                debug_assert!(off + 16 <= b.len());
-                // SAFETY: caller guarantees the column group is in
-                // bounds (debug-checked above).
-                let bv = unsafe { _mm256_loadu_si256(b.as_ptr().add(off).cast()) };
-                *slot = _mm256_add_epi32(*slot, _mm256_madd_epi16(av, bv));
-            }
-        }
-        // hadd tree: [v0(0..3) v1(0..3) v2(0..3) v3(0..3) | v0(4..7) ..]
-        let a01 = _mm256_hadd_epi32(v[0], v[1]);
-        let a23 = _mm256_hadd_epi32(v[2], v[3]);
-        let a45 = _mm256_hadd_epi32(v[4], v[5]);
-        let a67 = _mm256_hadd_epi32(v[6], v[7]);
-        let b0123 = _mm256_hadd_epi32(a01, a23);
-        let b4567 = _mm256_hadd_epi32(a45, a67);
-        let s0 = _mm_add_epi32(
-            _mm256_castsi256_si128(b0123),
-            _mm256_extracti128_si256::<1>(b0123),
-        );
-        let s1 = _mm_add_epi32(
-            _mm256_castsi256_si128(b4567),
-            _mm256_extracti128_si256::<1>(b4567),
-        );
-        _mm256_set_m128i(s1, s0)
-    }
-    // mirage-lint: end_region(int_kernel)
-
-    /// The 128-bit flat GEMM kernel (baseline x86_64, no runtime
-    /// detection needed): 4 columns per block, `pmaddwd` dots, an
-    /// unpack-transpose reduction (SSE2 has no `phaddd`), and the same
-    /// scale-recombination chain as the scalar kernel.
-    ///
-    /// # Safety
-    ///
-    /// SSE2 must be available (always true on x86_64 — the annotation
-    /// exists because rustc requires intrinsic callers to list the
-    /// feature explicitly), and `a`/`cols` must satisfy the shape
-    /// checks of [`super::gemm_i16_tail_into`].
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn gemm_sse2(
-        a: &PackedBfpMatrix,
-        cols: &PackedBfpMatrix,
-        col_start: usize,
-        m: usize,
-        n: usize,
-        tail: GemmTail<'_>,
-        out: &mut [f32],
-    ) {
-        let (Some(a16), Some(b16)) = (a.mantissas_i16(), cols.mantissas_i16()) else {
-            debug_assert!(false, "gemm_sse2 called without i16 shadows");
-            return;
-        };
-        let g = a.config().group_size();
-        let vecs = g / 8;
-        let groups = a.groups_per_row();
-        let padded = a.padded_k();
-        let mut bexp2 = vec![0.0f64; groups * JW4];
-        for j0 in (0..n).step_by(JW4) {
-            let jw = (n - j0).min(JW4);
-            if jw < JW4 {
-                scalar_columns(a, cols, col_start, j0, jw, m, n, tail, out);
-                continue;
-            }
-            // SAFETY: `j0 + 4 <= n == bias.len()` (full-width block,
-            // length validated by the dispatcher).
-            let bias_v = tail
-                .bias
-                .map(|b| unsafe { _mm_loadu_ps(b.as_ptr().add(j0)) });
-            for gi in 0..groups {
-                for jj in 0..jw {
-                    bexp2[gi * JW4 + jj] = pow2(cols.row_scale_exps(col_start + j0 + jj)[gi]);
-                }
-            }
-            for i in 0..m {
-                let a_row = &a16[i * padded..(i + 1) * padded];
-                let a_exps = a.row_scale_exps(i);
-                let mut acc = _mm_setzero_ps();
-                for (gi, &a_exp) in a_exps.iter().enumerate().take(groups) {
-                    let base = gi * g;
-                    let b_base = (col_start + j0) * padded + base;
-                    debug_assert!(b_base + (JW4 - 1) * padded + g <= b16.len());
-                    // mirage-lint: region(int_kernel)
-                    // SAFETY: `a_row` spans `padded >= base + g` lanes
-                    // and the column groups are in bounds
-                    // (debug-checked above) — same contract as the
-                    // AVX2 kernel, SSE2 is baseline on x86_64.
-                    let sums =
-                        unsafe { dot4_i16(a_row.as_ptr().add(base), b16, b_base, padded, vecs) };
-                    // mirage-lint: end_region(int_kernel)
-                    let pa2 = _mm_set1_pd(pow2(a_exp));
-                    // SAFETY: `bexp2` holds `groups * 4` doubles.
-                    let (be_lo, be_hi) = unsafe {
-                        (
-                            _mm_loadu_pd(bexp2.as_ptr().add(gi * JW4)),
-                            _mm_loadu_pd(bexp2.as_ptr().add(gi * JW4 + 2)),
-                        )
+    unsafe fn block<const R: usize, const WIDEN: bool>(
+        ops: &Operands<'_>,
+        p: usize,
+        i0: usize,
+    ) -> [__m256; R] {
+        let (groups, quads) = (ops.groups, ops.quads);
+        let stride = quads * QUAD;
+        let ones = _mm256_set1_epi16(1);
+        let exp_bias = _mm256_set1_epi64x(1023);
+        let mut acc = [_mm256_setzero_ps(); R];
+        for gi in 0..groups {
+            let slot = p * groups + gi;
+            let b_g = slot * stride * PANEL;
+            debug_assert!(b_g + stride * PANEL <= ops.b.len());
+            let mut dots = [_mm256_setzero_si256(); R];
+            // Exact integer column dots (module docs).
+            // mirage-lint: region(int_kernel)
+            for q in 0..quads {
+                // SAFETY: panel `p`'s group `gi` spans `stride · 8`
+                // lanes inside `ops.b` (checked lengths, debug-asserted
+                // above), and quad `q < quads` is 32 of them.
+                let bv = unsafe { _mm256_loadu_si256(ops.b.as_ptr().add(b_g + q * 32).cast()) };
+                for (r, d) in dots.iter_mut().enumerate() {
+                    let a_q = ((i0 + r) * groups + gi) * stride + q * QUAD;
+                    debug_assert!(a_q + QUAD <= ops.a.len());
+                    // SAFETY: row `i0 + r`'s group `gi` spans `stride`
+                    // lanes inside `ops.a` (checked lengths), so its
+                    // quad `q` is 4 readable bytes.
+                    let quad = unsafe { ops.a.as_ptr().add(a_q).cast::<i32>().read_unaligned() };
+                    let av = _mm256_set1_epi32(quad);
+                    let pairs = _mm256_maddubs_epi16(_mm256_abs_epi8(av), _mm256_sign_epi8(bv, av));
+                    *d = if WIDEN {
+                        _mm256_add_epi32(*d, _mm256_madd_epi16(pairs, ones))
+                    } else {
+                        _mm256_add_epi16(*d, pairs)
                     };
-                    let lo =
-                        _mm_cvtpd_ps(_mm_mul_pd(_mm_cvtepi32_pd(sums), _mm_mul_pd(pa2, be_lo)));
-                    let hi = _mm_cvtpd_ps(_mm_mul_pd(
-                        _mm_cvtepi32_pd(_mm_shuffle_epi32::<0b00_00_11_10>(sums)),
-                        _mm_mul_pd(pa2, be_hi),
-                    ));
-                    acc = _mm_add_ps(acc, _mm_movelh_ps(lo, hi));
                 }
-                // Fused tail, lane-wise on the accumulator registers —
-                // same chain as the AVX2 kernel and the scalar fold.
-                if let Some(bias) = bias_v {
-                    acc = _mm_add_ps(acc, bias);
+            }
+            if !WIDEN {
+                for d in &mut dots {
+                    *d = _mm256_madd_epi16(*d, ones);
                 }
-                if tail.relu {
-                    acc = _mm_max_ps(acc, _mm_setzero_ps());
-                }
-                // SAFETY: full-width block, `i < m` — the 4-lane store
-                // ends at most at `(i + 1) * n`.
-                unsafe { _mm_storeu_ps(out.as_mut_ptr().add(i * n + j0), acc) };
+            }
+            // mirage-lint: end_region(int_kernel)
+            // 2^be per column from the exponent bits (normal range).
+            // SAFETY: panel `p`'s group `gi` has 8 exponents in
+            // `ops.b_exps` (checked lengths).
+            let e = unsafe { _mm256_loadu_si256(ops.b_exps.as_ptr().add(slot * PANEL).cast()) };
+            let pow2_lanes = |e: __m128i| {
+                _mm256_castsi256_pd(_mm256_slli_epi64::<52>(_mm256_add_epi64(
+                    _mm256_cvtepi32_epi64(e),
+                    exp_bias,
+                )))
+            };
+            let pb_lo = pow2_lanes(_mm256_castsi256_si128(e));
+            let pb_hi = pow2_lanes(_mm256_extracti128_si256::<1>(e));
+            for (r, (slot, d)) in acc.iter_mut().zip(dots).enumerate() {
+                let ae = i64::from(ops.a_exps[(i0 + r) * groups + gi]);
+                let pa = _mm256_castsi256_pd(_mm256_set1_epi64x((ae + 1023) << 52));
+                let lo = _mm256_cvtpd_ps(_mm256_mul_pd(
+                    _mm256_cvtepi32_pd(_mm256_castsi256_si128(d)),
+                    _mm256_mul_pd(pa, pb_lo),
+                ));
+                let hi = _mm256_cvtpd_ps(_mm256_mul_pd(
+                    _mm256_cvtepi32_pd(_mm256_extracti128_si256::<1>(d)),
+                    _mm256_mul_pd(pa, pb_hi),
+                ));
+                *slot = _mm256_add_ps(*slot, _mm256_set_m128(hi, lo));
             }
         }
+        acc
     }
 
-    /// 4 column dots of one activation group, SSE2 only: `pmaddwd` per
-    /// column, then an unpack-transpose so one vector add folds the 4
-    /// partial vectors into `[dot0..dot3]`. Same exactness argument as
-    /// [`dot8_i16`].
-    ///
-    /// # Safety
-    ///
-    /// `a_g` must point at `8 * vecs` readable `i16`s and
-    /// `b[b_base + c * stride .. + 8 * vecs]` must be in bounds for
-    /// `c < 4`.
-    // mirage-lint: region(int_kernel)
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    unsafe fn dot4_i16(
-        a_g: *const i16,
-        b: &[i16],
-        b_base: usize,
-        stride: usize,
-        vecs: usize,
-    ) -> __m128i {
-        let mut v = [_mm_setzero_si128(); 4];
-        for t in 0..vecs {
-            // SAFETY: caller guarantees `a_g` spans `8 * vecs` lanes.
-            let av = unsafe { _mm_loadu_si128(a_g.add(t * 8).cast()) };
-            for (c, slot) in v.iter_mut().enumerate() {
-                let off = b_base + c * stride + t * 8;
-                debug_assert!(off + 8 <= b.len());
-                // SAFETY: caller guarantees the column group is in
-                // bounds (debug-checked above).
-                let bv = unsafe { _mm_loadu_si128(b.as_ptr().add(off).cast()) };
-                *slot = _mm_add_epi32(*slot, _mm_madd_epi16(av, bv));
+    /// Where one panel's accumulators land: the fused tail, the live
+    /// lanes `lo .. hi`, and the output column of lane 0.
+    struct Store<'a> {
+        tail: GemmTail<'a>,
+        bias: __m256,
+        lanes: (usize, usize),
+        j0: isize,
+        n: usize,
+    }
+
+    impl Store<'_> {
+        /// Applies the tail to each row's accumulators and stores the
+        /// live lanes of rows `i0 .. i0 + R`.
+        ///
+        /// # Safety
+        ///
+        /// AVX2 must be available, `out` must hold `n` lanes for every
+        /// row `i0 + r`, and the live lanes must map inside `0 .. n`.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn rows<const R: usize>(&self, acc: [__m256; R], i0: usize, out: &mut [f32]) {
+            let (lo, hi) = self.lanes;
+            for (r, mut v) in acc.into_iter().enumerate() {
+                // Same `(v + b).max(0.0)` chain as `GemmTail::fold`,
+                // lane-wise on the registers.
+                if self.tail.bias.is_some() {
+                    v = _mm256_add_ps(v, self.bias);
+                }
+                if self.tail.relu {
+                    v = _mm256_max_ps(v, _mm256_setzero_ps());
+                }
+                let row = (i0 + r) * self.n;
+                if lo == 0 && hi == PANEL {
+                    debug_assert!(row + self.j0 as usize + PANEL <= out.len());
+                    // SAFETY: a whole-panel window has `j0 ≥ 0` and
+                    // `j0 + 8 ≤ n`, so the store stays inside this row.
+                    unsafe { _mm256_storeu_ps(out.as_mut_ptr().add(row + self.j0 as usize), v) };
+                } else {
+                    let mut lanes = [0.0f32; PANEL];
+                    // SAFETY: `lanes` is a local array of 8 `f32`s.
+                    unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), v) };
+                    let first = row + (self.j0 + lo as isize) as usize;
+                    out[first..first + hi - lo].copy_from_slice(&lanes[lo..hi]);
+                }
             }
         }
-        // Transpose-and-add: u0..u3 hold lane L of every column, so the
-        // three adds produce [sum(v0), sum(v1), sum(v2), sum(v3)].
-        let t0 = _mm_unpacklo_epi32(v[0], v[1]);
-        let t1 = _mm_unpackhi_epi32(v[0], v[1]);
-        let t2 = _mm_unpacklo_epi32(v[2], v[3]);
-        let t3 = _mm_unpackhi_epi32(v[2], v[3]);
-        let u0 = _mm_unpacklo_epi64(t0, t2);
-        let u1 = _mm_unpackhi_epi64(t0, t2);
-        let u2 = _mm_unpacklo_epi64(t1, t3);
-        let u3 = _mm_unpackhi_epi64(t1, t3);
-        _mm_add_epi32(_mm_add_epi32(u0, u1), _mm_add_epi32(u2, u3))
     }
-    // mirage-lint: end_region(int_kernel)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::BfpConfig;
+    use crate::PackedBfpMatrix;
 
+    /// Deterministic pseudo-random values spread over a few binades.
     fn values(n: usize, seed: u64) -> Vec<f32> {
         let mut state = seed | 1;
         (0..n)
             .map(|_| {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                ((state >> 40) as f32 / 8388608.0) - 1.0
+                let v = ((state >> 40) as f32 / 8388608.0) - 1.0;
+                v * [1.0, 8.0, 0.03125][(state % 3) as usize]
             })
             .collect()
     }
 
-    /// The scalar oracle: per-column dots via `group_dot_i16` with the
-    /// canonical recombination chain.
-    fn scalar_gemm(
-        a: &PackedBfpMatrix,
-        cols: &PackedBfpMatrix,
-        col_start: usize,
-        m: usize,
-        n: usize,
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// One GEMM through the panel entry point at `tier`.
+    #[allow(clippy::too_many_arguments)]
+    fn panel_gemm(
+        tier: SimdTier,
+        config: BfpConfig,
+        a: &[f32],
+        b: &[f32],
+        (m, k, n): (usize, usize, usize),
+        (c0, width): (usize, usize),
+        tail: GemmTail<'_>,
     ) -> Vec<f32> {
-        let mut out = vec![0.0f32; m * n];
-        scalar_columns(a, cols, col_start, 0, n, m, n, GemmTail::none(), &mut out);
+        let mut rows = NarrowRows::empty(config);
+        rows.pack_into(a, m, k).unwrap();
+        let panels = BfpPanels::pack_cols(b, k, n, config).unwrap();
+        let mut out = vec![f32::NAN; 3];
+        gemm_panels_into(tier, &rows, &panels, c0, width, tail, &mut out).unwrap();
         out
     }
 
-    #[test]
-    fn every_available_tier_matches_scalar_bit_exactly() {
-        for (m, k, n, bm, g) in [
-            (1, 1, 1, 4, 16),
-            (3, 19, 5, 4, 16),
-            (7, 40, 13, 4, 16),
-            (8, 64, 8, 5, 32),
-            (2, 130, 17, 3, 64),
-            // bm = 13 is the widest mantissa whose g = 16 dot still
-            // satisfies dot_fits_i32 (16 · 8191² < i32::MAX).
-            (5, 16, 9, 13, 16),
-        ] {
-            let cfg = BfpConfig::new(bm, g).unwrap();
-            let a =
-                PackedBfpMatrix::quantize_rows(&values(m * k, 7 + m as u64), m, k, cfg).unwrap();
-            let b =
-                PackedBfpMatrix::quantize_rows(&values(n * k, 11 + n as u64), n, k, cfg).unwrap();
-            let want = scalar_gemm(&a, &b, 0, m, n);
-            for tier in [SimdTier::Sse2, SimdTier::Avx2] {
-                if tier > detected_tier() {
-                    continue;
-                }
-                let mut got = Vec::new();
-                assert!(
-                    gemm_i16_into(tier, &a, &b, 0, m, n, &mut got),
-                    "{m}x{k}x{n} bm={bm} g={g} should take the {} path",
-                    tier.label()
-                );
-                let want_bits: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
-                let got_bits: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(
-                    got_bits,
-                    want_bits,
-                    "{m}x{k}x{n} bm={bm} g={g} {}",
-                    tier.label()
-                );
-            }
-        }
+    /// The `dot_rows` oracle over `i32` packed operands, tail folded.
+    fn oracle(
+        config: BfpConfig,
+        a: &[f32],
+        b: &[f32],
+        (m, k, n): (usize, usize, usize),
+        (c0, width): (usize, usize),
+        tail: GemmTail<'_>,
+    ) -> Vec<f32> {
+        let pa = PackedBfpMatrix::quantize_rows(a, m, k, config).unwrap();
+        let pb = PackedBfpMatrix::quantize_cols(b, k, n, config).unwrap();
+        (0..m * width)
+            .map(|x| {
+                let (i, j) = (x / width, x % width);
+                tail.fold(pa.dot_rows(i, &pb, c0 + j), j)
+            })
+            .collect()
     }
 
+    /// AVX2 against the scalar panel kernel, and the scalar panel kernel
+    /// against `dot_rows`, bit for bit: every lane width, group sizes
+    /// around the quad and panel widths, every row-block remainder,
+    /// ragged `n`, windows starting inside a panel, and fused tails
+    /// whose bias holds NaN and ±∞.
     #[test]
-    fn fused_tail_matches_the_separate_post_pass_bit_exactly() {
-        // The fused bias/ReLU fold must equal running the plain kernel
-        // and then sweeping `(v + b).max(0.0)` over the stored output.
-        for (m, k, n) in [(1, 16, 1), (3, 40, 13), (6, 64, 21)] {
-            let cfg = BfpConfig::mirage_default();
-            let a = PackedBfpMatrix::quantize_rows(&values(m * k, 17), m, k, cfg).unwrap();
-            let b = PackedBfpMatrix::quantize_rows(&values(n * k, 23), n, k, cfg).unwrap();
-            let bias = values(n, 29);
-            for tier in [SimdTier::Sse2, SimdTier::Avx2] {
-                if tier > detected_tier() {
-                    continue;
-                }
-                for (use_bias, relu) in [(true, false), (false, true), (true, true)] {
-                    let tail = GemmTail {
-                        bias: use_bias.then_some(bias.as_slice()),
-                        relu,
-                    };
-                    let mut fused = Vec::new();
-                    assert!(gemm_i16_tail_into(tier, &a, &b, 0, m, n, tail, &mut fused));
-                    let mut want = Vec::new();
-                    assert!(gemm_i16_into(tier, &a, &b, 0, m, n, &mut want));
-                    for (i, v) in want.iter_mut().enumerate() {
-                        if use_bias {
-                            *v += bias[i % n];
-                        }
-                        if relu {
-                            *v = v.max(0.0);
+    fn panel_kernels_match_dot_rows_across_the_grid() {
+        let (k, n) = (37, 21);
+        let bias: Vec<f32> = (0..n)
+            .map(|j| match j % 7 {
+                0 => f32::NAN,
+                1 => f32::INFINITY,
+                2 => f32::NEG_INFINITY,
+                _ => j as f32 * 0.3 - 2.0,
+            })
+            .collect();
+        for bm in [1u32, 4, 7, 8, 15, 16] {
+            for g in [4usize, 8, 16, 32, 64] {
+                let config = BfpConfig::new(bm, g).unwrap();
+                for m in 1..=9 {
+                    let a = values(m * k, (bm as u64) << 8 | m as u64);
+                    let b = values(k * n, (g as u64) << 8 | bm as u64);
+                    for window in [(0, n), (3, 13), (9, 1), (8, 13), (13, 8), (5, 0)] {
+                        let width = window.1;
+                        for (with_bias, relu) in
+                            [(false, false), (true, false), (false, true), (true, true)]
+                        {
+                            let tail = GemmTail {
+                                bias: with_bias.then_some(&bias[..width]),
+                                relu,
+                            };
+                            let shape = (m, k, n);
+                            let want = oracle(config, &a, &b, shape, window, tail);
+                            let scalar =
+                                panel_gemm(SimdTier::Scalar, config, &a, &b, shape, window, tail);
+                            let what = format!(
+                                "{config} m={m} window={window:?} bias={with_bias} relu={relu}"
+                            );
+                            assert_eq!(bits(&scalar), bits(&want), "scalar vs dot_rows: {what}");
+                            let vector =
+                                panel_gemm(detected_tier(), config, &a, &b, shape, window, tail);
+                            assert_eq!(bits(&vector), bits(&scalar), "avx2 vs scalar: {what}");
                         }
                     }
-                    let fused_bits: Vec<u32> = fused.iter().map(|v| v.to_bits()).collect();
-                    let want_bits: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
-                    assert_eq!(
-                        fused_bits,
-                        want_bits,
-                        "{m}x{k}x{n} bias={use_bias} relu={relu} {}",
-                        tier.label()
-                    );
                 }
             }
         }
     }
 
+    /// Every sign pattern of a ±127 quad against every sign pattern of
+    /// a ±127 column quad at `bm = 7`: the `pmaddubsw` pair sums reach
+    /// ±32258, the largest they can be.
     #[test]
-    fn mismatched_tail_bias_declines() {
-        let tier = detected_tier();
-        if tier == SimdTier::Scalar {
-            return;
+    fn every_saturation_edge_quad_is_exact_at_bm_7() {
+        let config = BfpConfig::new(7, 4).unwrap();
+        assert!(
+            i16_group_sums_fit(config),
+            "g = 4 is the last i16 group at bm = 7"
+        );
+        let sign = |pattern: usize, t: usize| if pattern >> t & 1 == 1 { -127.0 } else { 127.0 };
+        // 16 rows × 16 columns, k = 4: row i is pattern i, column j is
+        // pattern j, so the GEMM covers all 256 quad pairs.
+        let a: Vec<f32> = (0..16 * 4).map(|x| sign(x / 4, x % 4)).collect();
+        let b: Vec<f32> = (0..4 * 16).map(|x| sign(x % 16, x / 16)).collect();
+        let shape = (16, 4, 16);
+        let got = panel_gemm(
+            detected_tier(),
+            config,
+            &a,
+            &b,
+            shape,
+            (0, 16),
+            GemmTail::none(),
+        );
+        for i in 0..16 {
+            for j in 0..16 {
+                let exact: f32 = (0..4).map(|t| sign(i, t) * sign(j, t)).sum();
+                assert_eq!(got[i * 16 + j], exact, "patterns ({i}, {j})");
+            }
         }
-        let cfg = BfpConfig::mirage_default();
-        let a = PackedBfpMatrix::quantize_rows(&values(32, 3), 2, 16, cfg).unwrap();
-        let short = values(1, 5);
+        let scalar = panel_gemm(
+            SimdTier::Scalar,
+            config,
+            &a,
+            &b,
+            shape,
+            (0, 16),
+            GemmTail::none(),
+        );
+        assert_eq!(bits(&got), bits(&scalar));
+    }
+
+    /// All-maximum groups on both sides of the `i16` accumulation bound:
+    /// the last `g` that accumulates in `i16` and the first that must
+    /// widen after every quad, at several mantissa widths.
+    #[test]
+    fn group_sums_straddling_the_i16_bound_stay_exact() {
+        for (bm, last_fit) in [(4u32, 288usize), (5, 68), (6, 16), (7, 4)] {
+            for (g, fits) in [(last_fit, true), (last_fit + 4, false)] {
+                let config = BfpConfig::new(bm, g).unwrap();
+                assert_eq!(i16_group_sums_fit(config), fits, "bm={bm} g={g}");
+                let max = config.max_mantissa() as f32;
+                let (m, k, n) = (5, 2 * g, 11);
+                let a: Vec<f32> = (0..m * k)
+                    .map(|x| if x % 5 == 0 { -max } else { max })
+                    .collect();
+                let b = vec![max; k * n];
+                let window = (0, n);
+                let got = panel_gemm(
+                    detected_tier(),
+                    config,
+                    &a,
+                    &b,
+                    (m, k, n),
+                    window,
+                    GemmTail::none(),
+                );
+                let want = oracle(config, &a, &b, (m, k, n), window, GemmTail::none());
+                assert_eq!(bits(&got), bits(&want), "bm={bm} g={g}");
+            }
+        }
+    }
+
+    #[test]
+    fn mismatched_operands_are_rejected() {
+        let config = BfpConfig::mirage_default();
+        let mut rows = NarrowRows::empty(config);
+        rows.pack_into(&values(2 * 16, 1), 2, 16).unwrap();
+        let panels = BfpPanels::pack_cols(&values(16 * 9, 2), 16, 9, config).unwrap();
+        let short = values(3, 3);
+        let mut out = Vec::new();
+        let tier = detected_tier();
+        // Window past the last column, a bias of the wrong length, and
+        // operands of another configuration or reduction length.
+        assert!(gemm_panels_into(tier, &rows, &panels, 4, 6, GemmTail::none(), &mut out).is_err());
         let tail = GemmTail {
-            bias: Some(short.as_slice()),
+            bias: Some(&short),
             relu: false,
         };
-        let mut out = Vec::new();
-        assert!(!gemm_i16_tail_into(tier, &a, &a, 0, 2, 2, tail, &mut out));
-    }
-
-    #[test]
-    fn column_ranges_match_the_full_gemm() {
-        let cfg = BfpConfig::mirage_default();
-        let (m, k, n) = (4, 33, 21);
-        let a = PackedBfpMatrix::quantize_rows(&values(m * k, 3), m, k, cfg).unwrap();
-        let b = PackedBfpMatrix::quantize_rows(&values(n * k, 5), n, k, cfg).unwrap();
-        let tier = detected_tier();
-        if tier == SimdTier::Scalar {
-            return;
-        }
-        let mut full = Vec::new();
-        assert!(gemm_i16_into(tier, &a, &b, 0, m, n, &mut full));
-        for (c0, width) in [(0usize, 9usize), (9, 12), (5, 4)] {
-            let mut tile = Vec::new();
-            assert!(gemm_i16_into(tier, &a, &b, c0, m, width, &mut tile));
-            for i in 0..m {
-                for j in 0..width {
-                    assert_eq!(
-                        tile[i * width + j].to_bits(),
-                        full[i * n + c0 + j].to_bits(),
-                        "tile ({c0}, {width}) at ({i}, {j})"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn unsupported_shapes_decline() {
-        let tier = detected_tier();
-        if tier == SimdTier::Scalar {
-            return;
-        }
-        let mut out = Vec::new();
-        // g = 8 is below the vector width.
-        let cfg8 = BfpConfig::new(4, 8).unwrap();
-        let a = PackedBfpMatrix::quantize_rows(&values(16, 1), 2, 8, cfg8).unwrap();
-        assert!(!gemm_i16_into(tier, &a, &a, 0, 2, 2, &mut out));
-        // Wide mantissae have no i16 shadow.
-        let cfg_wide = BfpConfig::new(20, 16).unwrap();
-        let w = PackedBfpMatrix::quantize_rows(&values(32, 2), 2, 16, cfg_wide).unwrap();
-        assert!(!gemm_i16_into(tier, &w, &w, 0, 2, 2, &mut out));
-        // bm = 15 keeps the i16 shadow but 16 · 32767² overflows the
-        // i32 accumulator bound, so the vector path must decline.
-        let cfg15 = BfpConfig::new(15, 16).unwrap();
-        let v = PackedBfpMatrix::quantize_rows(&values(32, 9), 2, 16, cfg15).unwrap();
-        assert!(!gemm_i16_into(tier, &v, &v, 0, 2, 2, &mut out));
-        // Scalar tier always declines.
-        let cfg = BfpConfig::mirage_default();
-        let p = PackedBfpMatrix::quantize_rows(&values(32, 3), 2, 16, cfg).unwrap();
-        assert!(!gemm_i16_into(SimdTier::Scalar, &p, &p, 0, 2, 2, &mut out));
+        assert!(gemm_panels_into(tier, &rows, &panels, 0, 9, tail, &mut out).is_err());
+        let other =
+            BfpPanels::pack_cols(&values(16 * 9, 2), 16, 9, BfpConfig::new(4, 8).unwrap()).unwrap();
+        assert!(gemm_panels_into(tier, &rows, &other, 0, 9, GemmTail::none(), &mut out).is_err());
+        let longer = BfpPanels::pack_cols(&values(17 * 9, 2), 17, 9, config).unwrap();
+        assert!(gemm_panels_into(tier, &rows, &longer, 0, 9, GemmTail::none(), &mut out).is_err());
     }
 
     #[test]
     fn zero_dimension_gemms_are_well_formed() {
-        let tier = detected_tier();
-        if tier == SimdTier::Scalar {
-            return;
+        let config = BfpConfig::mirage_default();
+        for tier in [SimdTier::Scalar, detected_tier()] {
+            // k = 0: every dot is zero.
+            let out = panel_gemm(tier, config, &[], &[], (3, 0, 5), (0, 5), GemmTail::none());
+            assert_eq!(out, vec![0.0; 15]);
+            // m = 0 and n = 0: empty outputs.
+            assert!(panel_gemm(
+                tier,
+                config,
+                &[],
+                &values(16 * 4, 1),
+                (0, 16, 4),
+                (0, 4),
+                GemmTail::none()
+            )
+            .is_empty());
+            assert!(panel_gemm(
+                tier,
+                config,
+                &values(32, 1),
+                &[],
+                (2, 16, 0),
+                (0, 0),
+                GemmTail::none()
+            )
+            .is_empty());
         }
-        let cfg = BfpConfig::mirage_default();
-        let empty_k = PackedBfpMatrix::quantize_rows(&[], 3, 0, cfg).unwrap();
-        let mut out = vec![1.0f32; 9];
-        assert!(gemm_i16_into(tier, &empty_k, &empty_k, 0, 3, 3, &mut out));
-        assert!(out.iter().all(|&v| v == 0.0), "k = 0 dots are all zero");
-        let a = PackedBfpMatrix::quantize_rows(&values(32, 4), 2, 16, cfg).unwrap();
-        assert!(gemm_i16_into(tier, &a, &a, 0, 0, 0, &mut out));
-        assert!(out.is_empty());
     }
 
     #[test]
-    fn policy_resolution_is_monotone() {
+    fn policy_resolution_is_monotone_and_stale_values_detect() {
         assert_eq!(resolve_tier(SimdPolicy::Off), SimdTier::Scalar);
-        assert!(resolve_tier(SimdPolicy::Sse2) <= SimdTier::Sse2);
-        assert!(resolve_tier(SimdPolicy::Sse2) <= resolve_tier(SimdPolicy::Auto));
+        assert!(resolve_tier(SimdPolicy::Auto) <= detected_tier());
+        assert_eq!(parse_env("off"), (SimdTier::Scalar, None));
+        assert_eq!(parse_env(" AUTO "), (SimdTier::Avx2, None));
+        // The retired SSE2 tier warns and detects instead of panicking.
+        let (cap, warning) = parse_env("sse2");
+        assert_eq!(cap, SimdTier::Avx2);
+        assert!(warning.is_some_and(|w| w.contains("removed")));
+        assert!(parse_env("avx512").1.is_some());
         // The labels are stable bench-report vocabulary.
         assert_eq!(SimdTier::Scalar.label(), "scalar");
-        assert_eq!(SimdTier::Sse2.label(), "sse2");
         assert_eq!(SimdTier::Avx2.label(), "avx2");
     }
 }

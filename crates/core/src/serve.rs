@@ -651,7 +651,9 @@ pub struct ServerStats {
     /// RRNS protection layer detected, corrected, or had to surface as
     /// [`ServeError::Uncorrectable`]. Each execution is counted once —
     /// a stacked flush contributes its single run, a per-item flush the
-    /// sum of its members' runs.
+    /// sum of its members' runs, and a stacked run that aborted and fell
+    /// back to per-item contributes its own counts beside its members'
+    /// re-runs.
     pub faults: FaultCounts,
 }
 
@@ -1037,18 +1039,23 @@ type FaultedResult = (Result<Tensor, ServeError>, FaultCounts);
 /// shapes, model error, or a plan that does not map rows 1:1), so a
 /// malformed request only ever fails itself. Returns each member's
 /// result with the fault counts of the execution that produced it, plus
-/// the flush-level fault total (each execution counted once).
+/// the flush-level fault total: each execution counted once, an aborted
+/// stacked run included.
 fn execute(
     shared: &Shared,
     batch: &[Pending],
     scratch: &mut ActivationScratch,
 ) -> (Vec<FaultedResult>, FaultCounts) {
+    let mut flush_faults = FaultCounts::ZERO;
     if shared.config.batch_mode == BatchMode::Stack && batch.len() > 1 {
-        if let Some((results, faults)) = try_stacked(shared, batch, scratch) {
+        let (results, faults) = try_stacked(shared, batch, scratch);
+        if let Some(results) = results {
             return (results.into_iter().map(|r| (r, faults)).collect(), faults);
         }
+        // The aborted stacked run executed and drew its faults; the
+        // per-item re-runs below are further executions of their own.
+        flush_faults = faults;
     }
-    let mut flush_faults = FaultCounts::ZERO;
     let results = batch
         .iter()
         .map(|p| {
@@ -1061,18 +1068,30 @@ fn execute(
 }
 
 /// Stacks the batch's rows into one activation, runs the plan once, and
-/// splits the output back per request. `None` means "use per-item
-/// execution instead" — taken when shapes are heterogeneous, the
-/// stacked run errors/panics, or the output does not map rows 1:1.
-/// (A stacked run aborted by an uncorrectable corruption falls back the
+/// splits the output back per request. The results are `None` — "use
+/// per-item execution instead" — when shapes are heterogeneous, the
+/// stacked run errors/panics, or the output does not map rows 1:1. (A
+/// stacked run aborted by an uncorrectable corruption falls back the
 /// same way: the per-item re-runs draw fresh faults, so only requests
-/// whose own execution is corrupted fail.) Returns the split results
-/// with the stacked execution's fault counts.
+/// whose own execution is corrupted fail.) The fault counts are the
+/// stacked execution's, whether or not its output is used — zero when
+/// the batch could not be stacked and nothing ran.
 fn try_stacked(
     shared: &Shared,
     batch: &[Pending],
     scratch: &mut ActivationScratch,
-) -> Option<(Vec<Result<Tensor, ServeError>>, FaultCounts)> {
+) -> (Option<Vec<Result<Tensor, ServeError>>>, FaultCounts) {
+    let Some(stacked) = stack_rows(batch) else {
+        return (None, FaultCounts::ZERO);
+    };
+    let (result, faults) = catch_run(shared, &stacked, scratch);
+    let results = result.ok().and_then(|output| split_rows(batch, &output));
+    (results, faults)
+}
+
+/// The batch's rank-2 inputs stacked row-wise into one activation, or
+/// `None` when their shapes differ or hold no rows.
+fn stack_rows(batch: &[Pending]) -> Option<Tensor> {
     let first = batch.first()?;
     if first.input.rank() != 2 {
         return None;
@@ -1092,12 +1111,18 @@ fn try_stacked(
     for pending in batch {
         data.extend_from_slice(pending.input.data());
     }
-    let stacked = Tensor::from_vec(data, &[total_rows, cols]).ok()?;
-    let (result, faults) = catch_run(shared, &stacked, scratch);
-    let output = result.ok()?;
+    Tensor::from_vec(data, &[total_rows, cols]).ok()
+}
+
+/// Splits a stacked run's output back into one result per request, or
+/// `None` when the plan does not preserve the row dimension (e.g. a
+/// pooling head), so stacking cannot be split back.
+fn split_rows(batch: &[Pending], output: &Tensor) -> Option<Vec<Result<Tensor, ServeError>>> {
+    let total_rows: usize = batch
+        .iter()
+        .map(|p| p.input.shape().first().copied().unwrap_or(0))
+        .sum();
     if output.rank() != 2 || output.shape().first() != Some(&total_rows) {
-        // The plan does not preserve the row dimension (e.g. a pooling
-        // head): stacking cannot be split back — serve per item.
         return None;
     }
     let out_cols = *output.shape().get(1)?;
@@ -1113,7 +1138,7 @@ fn try_stacked(
         );
         row += rows;
     }
-    Some((results, faults))
+    Some(results)
 }
 
 /// One model execution with a panic firewall and a fault-accounting

@@ -7,8 +7,8 @@
 //! overflows), reverse-converts the three channel residues with the
 //! small-range CRT, and folds the signed integer into an `f32`
 //! accumulator at the group's power-of-two scale. This module
-//! vectorizes that pipeline with `pmaddwd`, the same instruction the
-//! BFP mantissa kernels use.
+//! vectorizes that pipeline with `pmaddwd`, the instruction the BFP
+//! panel kernel widens its group sums with.
 //!
 //! ## Channel dots
 //!
@@ -101,48 +101,6 @@ fn avx2_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-/// Whether the 128-bit residue kernels can run on this CPU.
-pub fn dot4_available() -> bool {
-    cfg!(target_arch = "x86_64")
-}
-
-/// The 128-bit channel dots: three channels × **4 consecutive
-/// columns** per call (column `c`'s group starting at
-/// `b_base + c * stride`), writing `out[channel][column]`. SSE2 is
-/// baseline on x86_64, so on that arch this only declines for shape
-/// reasons (`g` not a positive multiple of 8, short slices).
-pub fn dot4x3_u16(
-    a: [&[u16]; CHANNELS],
-    a_off: usize,
-    b: [&[u16]; CHANNELS],
-    b_base: usize,
-    stride: usize,
-    g: usize,
-    out: &mut [[u32; 4]; CHANNELS],
-) -> bool {
-    if g == 0 || !g.is_multiple_of(8) {
-        return false;
-    }
-    for c in 0..CHANNELS {
-        if a[c].len() < a_off + g || b[c].len() < b_base + 3 * stride + g {
-            return false;
-        }
-    }
-    #[cfg(target_arch = "x86_64")]
-    {
-        for c in 0..CHANNELS {
-            // SAFETY: SSE2 is a baseline feature of the x86_64 ABI,
-            // and the slice bounds for this channel are verified above.
-            out[c] = unsafe { x86::dot4_u16_sse2(a[c], a_off, b[c], b_base, stride, g) };
-        }
-        true
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -809,53 +767,6 @@ mod x86 {
         unsafe { _mm256_storeu_si256(out.as_mut_ptr().cast(), ints) };
         out
     }
-
-    /// One channel, 4 columns: `pmaddwd` dots plus an unpack-transpose
-    /// reduction (SSE2 has no `phaddd`).
-    ///
-    /// # Safety
-    ///
-    /// `a[a_off..a_off + g]` and `b[b_base + c * stride ..][..g]` for
-    /// `c < 4` must be in bounds; `g` must be a positive multiple of 8.
-    // mirage-lint: region(int_kernel)
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn dot4_u16_sse2(
-        a: &[u16],
-        a_off: usize,
-        b: &[u16],
-        b_base: usize,
-        stride: usize,
-        g: usize,
-    ) -> [u32; 4] {
-        let mut v = [_mm_setzero_si128(); 4];
-        for t in (0..g).step_by(8) {
-            // SAFETY: caller guarantees `a_off + g <= a.len()`.
-            let av = unsafe { _mm_loadu_si128(a.as_ptr().add(a_off + t).cast()) };
-            for (c, slot) in v.iter_mut().enumerate() {
-                let off = b_base + c * stride + t;
-                debug_assert!(off + 8 <= b.len());
-                // SAFETY: caller guarantees the column group is in
-                // bounds (debug-checked above).
-                let bv = unsafe { _mm_loadu_si128(b.as_ptr().add(off).cast()) };
-                *slot = _mm_add_epi32(*slot, _mm_madd_epi16(av, bv));
-            }
-        }
-        let t0 = _mm_unpacklo_epi32(v[0], v[1]);
-        let t1 = _mm_unpackhi_epi32(v[0], v[1]);
-        let t2 = _mm_unpacklo_epi32(v[2], v[3]);
-        let t3 = _mm_unpackhi_epi32(v[2], v[3]);
-        let u0 = _mm_unpacklo_epi64(t0, t2);
-        let u1 = _mm_unpackhi_epi64(t0, t2);
-        let u2 = _mm_unpacklo_epi64(t1, t3);
-        let u3 = _mm_unpackhi_epi64(t1, t3);
-        let sums = _mm_add_epi32(_mm_add_epi32(u0, u1), _mm_add_epi32(u2, u3));
-        let mut out = [0u32; 4];
-        // SAFETY: `out` is 4 × 4 bytes, exactly one 128-bit store.
-        unsafe { _mm_storeu_si128(out.as_mut_ptr().cast(), sums) };
-        out
-    }
-    // mirage-lint: end_region(int_kernel)
 }
 
 #[cfg(test)]
@@ -887,60 +798,6 @@ mod tests {
         let conv = CrtConverter::new(&ModuliSet::new(moduli).unwrap());
         let crt = conv.small_constants().expect("small dynamic range");
         (Crt3Lanes::new(conv.set().moduli(), &crt, g), conv)
-    }
-
-    #[test]
-    fn sse2_dots_match_scalar_u32_exactly() {
-        // Paper-scale moduli (k = 5: {31, 32, 33}) and the largest
-        // modulus the U16 tier admits at g = 16.
-        for (m, g) in [(33u64, 16usize), (65, 32), (16384, 16), (33, 8)] {
-            let stride = g * 2; // column groups interleaved with padding
-            let a: [Vec<u16>; CHANNELS] = [
-                residues(g * 3, m, 1),
-                residues(g * 3, m - 1, 2),
-                residues(g * 3, m + 1, 3),
-            ];
-            let b: [Vec<u16>; CHANNELS] = [
-                residues(stride * 4, m, 4),
-                residues(stride * 4, m - 1, 5),
-                residues(stride * 4, m + 1, 6),
-            ];
-            let ar: [&[u16]; CHANNELS] = [&a[0], &a[1], &a[2]];
-            let br: [&[u16]; CHANNELS] = [&b[0], &b[1], &b[2]];
-            let a_off = g; // exercise a nonzero group offset
-            if dot4_available() {
-                let mut got = [[0u32; 4]; CHANNELS];
-                assert!(dot4x3_u16(ar, a_off, br, 0, stride, g, &mut got));
-                for c in 0..CHANNELS {
-                    for (j, &lane) in got[c].iter().enumerate() {
-                        assert_eq!(
-                            lane,
-                            scalar_dot(&a[c], a_off, &b[c], j * stride, g),
-                            "sse2 m={m} g={g} channel {c} column {j}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn near_wraparound_sse2_sums_stay_exact() {
-        // 16 products of 16383² ≈ 0.99 · u32::MAX: the largest column
-        // sum the U16 tier can produce at g = 16 — one step from
-        // wrapping, still exact.
-        let g = 16;
-        let a = vec![16383u16; g];
-        let b = vec![16383u16; g * 4];
-        let ar: [&[u16]; CHANNELS] = [&a, &a, &a];
-        let br: [&[u16]; CHANNELS] = [&b, &b, &b];
-        let want = scalar_dot(&a, 0, &b, 0, g);
-        assert_eq!(want, 16383u32 * 16383 * 16);
-        if dot4_available() {
-            let mut got = [[0u32; 4]; CHANNELS];
-            assert!(dot4x3_u16(ar, 0, br, 0, g, g, &mut got));
-            assert!(got.iter().all(|ch| ch.iter().all(|&v| v == want)));
-        }
     }
 
     #[test]
@@ -1279,11 +1136,6 @@ mod tests {
     fn bad_shapes_decline() {
         let a = vec![1u16; 8];
         let ar: [&[u16]; CHANNELS] = [&a, &a, &a];
-        let mut out4 = [[0u32; 4]; CHANNELS];
-        // g = 0 and short slices decline.
-        assert!(!dot4x3_u16(ar, 0, ar, 0, 8, 0, &mut out4));
-        assert!(!dot4x3_u16(ar, 4, ar, 0, 8, 8, &mut out4));
-        assert!(!dot4x3_u16(ar, 0, ar, 0, 8, 12, &mut out4));
         if let (Some(lanes), _) = lanes(&[31, 32, 33], 16) {
             let b = vec![1u16; 16 * 8];
             let br: [&[u16]; CHANNELS] = [&b, &b, &b];

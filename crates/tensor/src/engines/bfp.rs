@@ -3,215 +3,16 @@
 use super::{gemm_dims, Epilogue, GemmEngine, PreparedRhs};
 use crate::{Result, Tensor, TensorError};
 use mirage_bfp::{
-    group_dot, group_dot_i16, group_dot_i32, pow2, BfpBlock, BfpConfig, GemmTail, PackedBfpMatrix,
-    SimdPolicy,
+    BfpBlock, BfpConfig, BfpPanels, GemmTail, NarrowRows, PackedBfpMatrix, SimdPolicy,
 };
 use std::cell::RefCell;
 use std::sync::Arc;
 
-/// Output columns per j-block in the flat kernel. Each `(row, group)`
-/// pair scales `J_BLOCK` independent FP32 accumulators, so the
-/// convert-multiply-add chains of neighbouring output columns overlap
-/// instead of serializing on one accumulator; the block of packed B
-/// columns also stays hot in cache across every row of `A`.
-const J_BLOCK: usize = 16;
-
-/// The flat GEMM loop nest, generic over the mantissa lane type so one
-/// body serves the `i16` (SIMD dot idiom), `i32` and widening-`i64`
-/// integer paths. Per `(row band of 1, j-block)`:
-///
-/// 1. every group's integer dots for the block's columns (a pure
-///    vectorizable sweep into `ints`), then
-/// 2. the power-of-two scales into per-column accumulators.
-///
-/// An optional fused [`GemmTail`] (per-column bias, trailing ReLU) is
-/// folded into the accumulators right before each output store — zero
-/// extra passes over `out`, bit-identical to a separate post-pass by
-/// the exact-`f32`-store argument on [`GemmTail`].
-///
-/// Per output element the groups accumulate in ascending order, so the
-/// result is bit-identical to [`PackedBfpMatrix::dot_rows`] and to the
-/// legacy `BfpBlock::dot` chain — only instruction scheduling changes.
-/// The group scale `2^(ae + be)` is applied as `pow2(ae) * pow2(be)`,
-/// hoisting the `be` factors out of the row loop; both factors and the
-/// product are powers of two within the normal `f64` range (quantizer
-/// scale exponents are bounded by the `f32` exponent span, |e| <= 172),
-/// so the product is the same exact `f64` as `pow2(ae + be)`.
-// mirage-lint: no_alloc
-#[allow(clippy::too_many_arguments)]
-fn flat_gemm<T: Copy>(
-    a_packed: &PackedBfpMatrix,
-    cols: &PackedBfpMatrix,
-    a_m: &[T],
-    b_m: &[T],
-    dot: impl Fn(&[T], &[T]) -> i64 + Copy,
-    col_start: usize,
-    m: usize,
-    n: usize,
-    tail: GemmTail<'_>,
-    out: &mut Vec<f32>,
-) {
-    let groups = a_packed.groups_per_row();
-    out.clear();
-    out.resize(m * n, 0.0);
-    let out = out.as_mut_slice();
-    // Per-block B-side scale factors, shared by every row of A.
-    // mirage-lint: allow(alloc_ok) -- one bexp2 staging buffer per GEMM call, outside the row loop; sized by B alone
-    let mut bexp2 = vec![0.0f64; groups * J_BLOCK];
-    for j0 in (0..n).step_by(J_BLOCK) {
-        let jw = (n - j0).min(J_BLOCK);
-        for gi in 0..groups {
-            for jj in 0..jw {
-                let be = cols.row_scale_exps(col_start + j0 + jj)[gi];
-                debug_assert!((-1022..=1023).contains(&be), "scale exp out of range");
-                bexp2[gi * J_BLOCK + jj] = pow2(be);
-            }
-        }
-        // Full blocks take the constant-width body; the common group
-        // sizes are also monomorphized so the inner integer dot has a
-        // compile-time trip count (the difference between a fully
-        // unrolled SIMD dot and a generic loop is >2x). Only the final
-        // ragged block and exotic group sizes pay for dynamic extents.
-        let g = a_packed.config().group_size();
-        match (jw == J_BLOCK, g) {
-            (true, 8) => flat_block::<T, J_BLOCK, 8>(
-                a_packed, a_m, b_m, dot, &bexp2, col_start, j0, m, n, tail, &mut *out,
-            ),
-            (true, 16) => flat_block::<T, J_BLOCK, 16>(
-                a_packed, a_m, b_m, dot, &bexp2, col_start, j0, m, n, tail, &mut *out,
-            ),
-            (true, 32) => flat_block::<T, J_BLOCK, 32>(
-                a_packed, a_m, b_m, dot, &bexp2, col_start, j0, m, n, tail, &mut *out,
-            ),
-            (true, 64) => flat_block::<T, J_BLOCK, 64>(
-                a_packed, a_m, b_m, dot, &bexp2, col_start, j0, m, n, tail, &mut *out,
-            ),
-            _ => flat_block_dyn(
-                a_packed, a_m, b_m, dot, &bexp2, col_start, j0, jw, m, n, tail, out,
-            ),
-        }
-    }
-}
-
-/// One full-width column block of [`flat_gemm`], `JW` **and** the group
-/// size `G` known at compile time so both the `jj` sweeps and the inner
-/// integer dots have constant trip counts.
-// mirage-lint: no_alloc
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn flat_block<T: Copy, const JW: usize, const G: usize>(
-    a_packed: &PackedBfpMatrix,
-    a_m: &[T],
-    b_m: &[T],
-    dot: impl Fn(&[T], &[T]) -> i64,
-    bexp2: &[f64],
-    col_start: usize,
-    j0: usize,
-    m: usize,
-    n: usize,
-    tail: GemmTail<'_>,
-    out: &mut [f32],
-) {
-    debug_assert_eq!(a_packed.config().group_size(), G);
-    let groups = a_packed.groups_per_row();
-    let padded = a_packed.padded_k();
-    let mut acc = [0.0f32; JW];
-    let mut ints = [0i64; JW];
-    for i in 0..m {
-        acc.fill(0.0);
-        let a_row = &a_m[i * padded..(i + 1) * padded];
-        let a_exps = a_packed.row_scale_exps(i);
-        for gi in 0..groups {
-            let base = gi * G;
-            let a_g = &a_row[base..base + G];
-            // The dot sweep is pure integer by contract — the floats
-            // enter only in the scale recombination below (§V-A).
-            // mirage-lint: region(int_kernel)
-            for (jj, slot) in ints.iter_mut().enumerate() {
-                let b_base = (col_start + j0 + jj) * padded + base;
-                *slot = dot(a_g, &b_m[b_base..b_base + G]);
-            }
-            // mirage-lint: end_region(int_kernel)
-            let pa2 = pow2(a_exps[gi]);
-            for (jj, slot) in acc.iter_mut().enumerate() {
-                *slot += (ints[jj] as f64 * (pa2 * bexp2[gi * J_BLOCK + jj])) as f32;
-            }
-        }
-        // Fused tail on the register accumulators — same
-        // `(v + b).max(0.0)` chain as a separate post-pass, applied
-        // before the store instead of in a second sweep.
-        for (jj, slot) in acc.iter_mut().enumerate() {
-            *slot = tail.fold(*slot, j0 + jj);
-        }
-        out[i * n + j0..i * n + j0 + JW].copy_from_slice(&acc);
-    }
-}
-
-/// The ragged final column block of [`flat_gemm`]: same body with a
-/// runtime width.
-// mirage-lint: no_alloc
-#[allow(clippy::too_many_arguments)]
-fn flat_block_dyn<T: Copy>(
-    a_packed: &PackedBfpMatrix,
-    a_m: &[T],
-    b_m: &[T],
-    dot: impl Fn(&[T], &[T]) -> i64,
-    bexp2: &[f64],
-    col_start: usize,
-    j0: usize,
-    jw: usize,
-    m: usize,
-    n: usize,
-    tail: GemmTail<'_>,
-    out: &mut [f32],
-) {
-    let g = a_packed.config().group_size();
-    let groups = a_packed.groups_per_row();
-    let padded = a_packed.padded_k();
-    let mut acc = [0.0f32; J_BLOCK];
-    let mut ints = [0i64; J_BLOCK];
-    for i in 0..m {
-        acc[..jw].fill(0.0);
-        let a_row = &a_m[i * padded..(i + 1) * padded];
-        let a_exps = a_packed.row_scale_exps(i);
-        for gi in 0..groups {
-            let base = gi * g;
-            let a_g = &a_row[base..base + g];
-            // Same pure-integer contract as the constant-width block.
-            // mirage-lint: region(int_kernel)
-            for (jj, slot) in ints[..jw].iter_mut().enumerate() {
-                let b_base = (col_start + j0 + jj) * padded + base;
-                *slot = dot(a_g, &b_m[b_base..b_base + g]);
-            }
-            // mirage-lint: end_region(int_kernel)
-            let pa2 = pow2(a_exps[gi]);
-            for (jj, slot) in acc[..jw].iter_mut().enumerate() {
-                *slot += (ints[jj] as f64 * (pa2 * bexp2[gi * J_BLOCK + jj])) as f32;
-            }
-        }
-        for (jj, slot) in acc[..jw].iter_mut().enumerate() {
-            *slot = tail.fold(*slot, j0 + jj);
-        }
-        out[i * n + j0..i * n + j0 + jw].copy_from_slice(&acc[..jw]);
-    }
-}
-
 thread_local! {
-    /// This thread's A-side packing buffers: [`BfpEngine`] re-quantizes
-    /// each call's activations into the same allocation, so a serving
+    /// This thread's A-side row buffer: [`BfpEngine`] re-quantizes each
+    /// call's activations into the same allocation, so a serving
     /// thread's steady state packs `A` without touching the allocator.
-    static A_PACKED: RefCell<Option<PackedBfpMatrix>> = const { RefCell::new(None) };
-}
-
-/// Prepared B-side state: the columns of `B` quantized into one packed,
-/// contiguous buffer ([`PackedBfpMatrix`] rows = columns of `B`), tagged
-/// with the configuration that produced it so a differently-configured
-/// engine instance never reuses it. Column tiles are windows of the
-/// [`PreparedRhs`] holding it, so every tile shares this one buffer.
-#[derive(Debug)]
-pub(crate) struct PreparedBfpCols {
-    pub(crate) config: BfpConfig,
-    pub(crate) packed: PackedBfpMatrix,
+    static A_ROWS: RefCell<Option<NarrowRows>> = const { RefCell::new(None) };
 }
 
 /// BFP GEMM: operands are quantized group-by-group along the reduction
@@ -278,9 +79,9 @@ impl BfpEngine {
         self.config
     }
 
-    /// Quantizes the rows of a matrix into one packed, contiguous
-    /// buffer — the hot-path layout every flat kernel consumes. Groups
-    /// run along the reduction (column) dimension exactly like
+    /// Quantizes the rows of a matrix into one flat `i32` buffer — the
+    /// layout device models and the `dot_rows` oracle read. Groups run
+    /// along the reduction (column) dimension exactly like
     /// [`BfpEngine::quantize_rows`]; the packed form is bit-identical
     /// group by group (see [`PackedBfpMatrix`]).
     pub fn pack_rows(t: &Tensor, config: BfpConfig) -> PackedBfpMatrix {
@@ -290,10 +91,10 @@ impl BfpEngine {
     }
 
     /// Packs the columns of `B` (groups along the reduction dimension,
-    /// one packed row per column) in one pass over `B`'s row-major
-    /// storage — no transpose ([`PackedBfpMatrix::quantize_cols`]). The
-    /// B-side half of [`BfpEngine::gemm`], shared by
-    /// [`GemmEngine::prepare`].
+    /// one packed row per column) into a flat `i32` buffer in one pass
+    /// over `B`'s row-major storage — no transpose
+    /// ([`PackedBfpMatrix::quantize_cols`]). The GEMMs themselves read
+    /// `B` as [`BfpPanels`] ([`BfpEngine::pack_panels`]).
     ///
     /// # Errors
     ///
@@ -302,6 +103,19 @@ impl BfpEngine {
         b.require_rank(2)?;
         let (k, n) = (b.shape()[0], b.shape()[1]);
         Ok(PackedBfpMatrix::quantize_cols(b.data(), k, n, config)?)
+    }
+
+    /// Packs the columns of `B` into the narrow 8-column panels every
+    /// BFP GEMM reads — the one representation of a prepared weight,
+    /// shared by [`BfpEngine::gemm`] and [`GemmEngine::prepare`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`crate::TensorError::RankMismatch`] unless `b` is rank-2.
+    pub fn pack_panels(b: &Tensor, config: BfpConfig) -> Result<BfpPanels> {
+        b.require_rank(2)?;
+        let (k, n) = (b.shape()[0], b.shape()[1]);
+        Ok(BfpPanels::pack_cols(b.data(), k, n, config)?)
     }
 
     /// Quantizes the rows of a matrix into BFP groups along the reduction
@@ -334,13 +148,10 @@ impl BfpEngine {
         Ok(Self::quantize_rows(&b.transpose2d()?, config))
     }
 
-    /// The shared flat GEMM kernel: packs the rows of `A` (into this
-    /// thread's reused `A_PACKED` buffers) and dots them against an
-    /// already-packed column range of `B`, writing into a caller buffer.
-    /// Shapes are validated once up front; the inner loop is a pure
-    /// integer dot over two contiguous `&[i32]` slices with a
-    /// power-of-two scale — no `Result`, no transcendental, no
-    /// per-group heap objects. Returns `m`.
+    /// The shared GEMM: packs the rows of `A` (into this thread's
+    /// reused `A_ROWS` buffer) and runs the panel kernel
+    /// ([`mirage_bfp::simd::gemm_panels_into`]) against a column window
+    /// of `B`'s panels, writing into a caller buffer. Returns `m`.
     ///
     /// An optional fused [`GemmTail`] folds bias/ReLU into the
     /// accumulator registers right before each output store, in both
@@ -349,96 +160,33 @@ impl BfpEngine {
     /// round-trips exactly and the fold uses the identical `+` /
     /// `max(0.0)` chain per lane).
     // mirage-lint: no_alloc
-    fn gemm_with_packed_into(
+    fn gemm_panels_into(
         &self,
         a: &Tensor,
-        cols: &PackedBfpMatrix,
+        panels: &BfpPanels,
         col_start: usize,
         n: usize,
         tail: GemmTail<'_>,
         out: &mut Vec<f32>,
     ) -> Result<usize> {
         let (m, k) = (a.shape()[0], a.shape()[1]);
-        if cols.k() != k {
+        if panels.k() != k {
             return Err(TensorError::DimMismatch {
                 left: k,
-                right: cols.k(),
+                right: panels.k(),
             });
         }
-        A_PACKED.with(|slot| {
+        A_ROWS.with(|slot| {
             let mut slot = slot.borrow_mut();
-            let a_packed = match slot.take() {
-                Some(packed) if packed.config() == self.config => slot.insert(packed),
-                _ => slot.insert(PackedBfpMatrix::empty(self.config)),
+            let rows = match slot.take() {
+                Some(rows) if rows.config() == self.config => slot.insert(rows),
+                _ => slot.insert(NarrowRows::empty(self.config)),
             };
-            a_packed.quantize_rows_into(a.data(), m, k)?;
-            self.dot_packed_into(a_packed, cols, col_start, n, tail, out);
+            rows.pack_into(a.data(), m, k)?;
+            let tier = mirage_bfp::simd::resolve_tier(self.simd);
+            mirage_bfp::simd::gemm_panels_into(tier, rows, panels, col_start, n, tail, out)?;
             Ok(m)
         })
-    }
-
-    /// The dot half of [`BfpEngine::gemm_with_packed_into`]: the packed
-    /// rows of `A` against a column range of packed `B`.
-    // mirage-lint: no_alloc
-    fn dot_packed_into(
-        &self,
-        a_packed: &PackedBfpMatrix,
-        cols: &PackedBfpMatrix,
-        col_start: usize,
-        n: usize,
-        tail: GemmTail<'_>,
-        out: &mut Vec<f32>,
-    ) {
-        let m = a_packed.rows();
-        let fits_i32 = a_packed.dot_fits_i32(cols);
-        // Vector tiers first: bit-identical to the scalar kernels below
-        // (the simd module carries the proof obligations), declining —
-        // via `false` — whenever the operands don't qualify.
-        let tier = mirage_bfp::simd::resolve_tier(self.simd);
-        if mirage_bfp::simd::gemm_i16_tail_into(tier, a_packed, cols, col_start, m, n, tail, out) {
-            return;
-        }
-        // Narrowest exact integer path available: the i16 shadow (SIMD
-        // dot idiom), then i32 accumulation, then widening i64 — all
-        // producing the same exact group integers.
-        match (a_packed.mantissas_i16(), cols.mantissas_i16(), fits_i32) {
-            (Some(a16), Some(b16), true) => flat_gemm(
-                a_packed,
-                cols,
-                a16,
-                b16,
-                group_dot_i16,
-                col_start,
-                m,
-                n,
-                tail,
-                out,
-            ),
-            (_, _, true) => flat_gemm(
-                a_packed,
-                cols,
-                a_packed.mantissas(),
-                cols.mantissas(),
-                group_dot_i32,
-                col_start,
-                m,
-                n,
-                tail,
-                out,
-            ),
-            _ => flat_gemm(
-                a_packed,
-                cols,
-                a_packed.mantissas(),
-                cols.mantissas(),
-                group_dot,
-                col_start,
-                m,
-                n,
-                tail,
-                out,
-            ),
-        }
     }
 }
 
@@ -456,25 +204,18 @@ impl GemmEngine for BfpEngine {
 
     fn gemm(&self, a: &Tensor, b: &Tensor) -> Result<Tensor> {
         let (_m, _k, n) = gemm_dims(a, b)?;
-        // Group along k: rows of A and rows of B^T (columns of B).
-        let cols = Self::pack_cols(b, self.config)?;
+        // Group along k: rows of A and the columns of B, as panels.
+        let panels = Self::pack_panels(b, self.config)?;
         let mut out = Vec::new();
-        let m = self.gemm_with_packed_into(a, &cols, 0, n, GemmTail::none(), &mut out)?;
+        let m = self.gemm_panels_into(a, &panels, 0, n, GemmTail::none(), &mut out)?;
         Tensor::from_vec(out, &[m, n])
     }
 
-    /// Packs the columns of `B` into one contiguous quantized buffer
-    /// exactly once.
+    /// Packs the columns of `B` into narrow panels exactly once: the
+    /// panels are the whole prepared state.
     fn prepare(&self, b: &Tensor) -> Result<PreparedRhs> {
-        let packed = Self::pack_cols(b, self.config)?;
-        PreparedRhs::new(
-            self.name(),
-            b,
-            Arc::new(PreparedBfpCols {
-                config: self.config,
-                packed,
-            }),
-        )
+        let panels = Self::pack_panels(b, self.config)?;
+        PreparedRhs::new(self.name(), b, Arc::new(panels))
     }
 
     /// Reuses the pre-packed columns — only the rows of `A` touch the
@@ -503,8 +244,8 @@ impl GemmEngine for BfpEngine {
                 });
             }
         }
-        let state = b.state_for(self.name(), |state: &PreparedBfpCols| {
-            state.config == self.config
+        let panels = b.state_for(self.name(), |panels: &BfpPanels| {
+            panels.config() == self.config
         })?;
         let fused = epilogue.residual().is_none();
         let tail = if fused {
@@ -515,7 +256,7 @@ impl GemmEngine for BfpEngine {
         } else {
             GemmTail::none()
         };
-        let m = self.gemm_with_packed_into(a, &state.packed, b.col_start(), n, tail, out)?;
+        let m = self.gemm_panels_into(a, panels, b.col_start(), n, tail, out)?;
         if !fused {
             epilogue.apply(out, m, n)?;
         }

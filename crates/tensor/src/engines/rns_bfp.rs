@@ -648,10 +648,8 @@ impl RnsBfpEngine {
                 u64::from(acc)
             }
             // Fig. 2 step 7: the fused small-range CRT (identical
-            // arithmetic to `to_signed_trusted`, constants hoisted),
-            // shared by the scalar and SSE2 dot paths — which feed it
-            // bit-identical `u32` channel dots, so everything from here
-            // down is tier-independent.
+            // arithmetic to `to_signed_trusted`, constants hoisted) for
+            // the scalar dot path.
             let crt_signed = |d0: u64, d1: u64, d2: u64| -> i64 {
                 let r0 = m0.fast_rem(d0);
                 let r1 = m1.fast_rem(d1);
@@ -669,10 +667,9 @@ impl RnsBfpEngine {
             // reductions, CRT, signed adjust and scale recombination —
             // runs fused in vector registers, 8 columns at a time, when
             // this moduli set passes the 32-bit lane bound (checked here,
-            // once per GEMM; see `mirage_rns::simd`). Otherwise `pmaddwd`
-            // SSE2 dots feed the scalar CRT when the tier allows. Ragged
-            // tails and declined shapes run the scalar dot — the same
-            // integers and the same recombination chain either way.
+            // once per GEMM; see `mirage_rns::simd`). Declined shapes run
+            // the scalar dot — the same integers and the same
+            // recombination chain either way.
             let tier = mirage_bfp::simd::resolve_tier(self.simd);
             let fused = if tier == SimdTier::Avx2 && protection.checked().is_none() {
                 rns_simd::Crt3Lanes::new(moduli, &crt, G)
@@ -701,7 +698,6 @@ impl RnsBfpEngine {
                 }
                 _ => None,
             };
-            let use4 = tier >= SimdTier::Sse2 && G.is_multiple_of(8) && rns_simd::dot4_available();
             let stride = groups * cols.g;
             let lanes_ready = fused.is_some() || checked_lanes.is_some();
             let base_planes = [b0, b1, b2];
@@ -811,66 +807,20 @@ impl RnsBfpEngine {
                     acc[..jw].fill(0.0);
                     for (gi, &pa) in row_pa2.iter().enumerate() {
                         let a_off = a_rns.group_offset(i, gi);
-                        let b_gi = b_base + gi * G;
-                        let mut dots = [[0u32; JW]; 3];
-                        let vector = if jw == JW && use4 {
-                            let mut lo = [[0u32; 4]; 3];
-                            let mut hi = [[0u32; 4]; 3];
-                            let ok = rns_simd::dot4x3_u16(
-                                [a0, a1, a2],
-                                a_off,
-                                [b0, b1, b2],
-                                b_gi,
-                                stride,
-                                G,
-                                &mut lo,
-                            ) && rns_simd::dot4x3_u16(
-                                [a0, a1, a2],
-                                a_off,
-                                [b0, b1, b2],
-                                b_gi + 4 * stride,
-                                stride,
-                                G,
-                                &mut hi,
+                        for (jj, slot) in acc[..jw].iter_mut().enumerate() {
+                            let col = col_start + j0 + jj;
+                            let b_off = cols.group_offset(col, gi);
+                            // Fig. 2 steps 5-7: one modular dot per
+                            // channel, then the fused CRT — exact
+                            // integers up to the recombination.
+                            let integer = crt_signed(
+                                dot::<G>(a0, a_off, b0, b_off),
+                                dot::<G>(a1, a_off, b1, b_off),
+                                dot::<G>(a2, a_off, b2, b_off),
                             );
-                            if ok {
-                                for (d, (l, h)) in dots.iter_mut().zip(lo.iter().zip(hi.iter())) {
-                                    d[..4].copy_from_slice(l);
-                                    d[4..].copy_from_slice(h);
-                                }
-                            }
-                            ok
-                        } else {
-                            false
-                        };
-                        if vector {
-                            for (jj, slot) in acc.iter_mut().enumerate() {
-                                let col = col_start + j0 + jj;
-                                let integer = crt_signed(
-                                    u64::from(dots[0][jj]),
-                                    u64::from(dots[1][jj]),
-                                    u64::from(dots[2][jj]),
-                                );
-                                // Fig. 2 step 8, exponent recombination.
-                                let pb2 = pow2(cols.scale_exp(col, gi));
-                                *slot += (integer as f64 * (pa * pb2)) as f32;
-                            }
-                        } else {
-                            for (jj, slot) in acc[..jw].iter_mut().enumerate() {
-                                let col = col_start + j0 + jj;
-                                let b_off = cols.group_offset(col, gi);
-                                // Fig. 2 steps 5-7: one modular dot per
-                                // channel, then the fused CRT — exact
-                                // integers up to the recombination.
-                                let integer = crt_signed(
-                                    dot::<G>(a0, a_off, b0, b_off),
-                                    dot::<G>(a1, a_off, b1, b_off),
-                                    dot::<G>(a2, a_off, b2, b_off),
-                                );
-                                // Fig. 2 step 8, exponent recombination.
-                                let pb2 = pow2(cols.scale_exp(col, gi));
-                                *slot += (integer as f64 * (pa * pb2)) as f32;
-                            }
+                            // Fig. 2 step 8, exponent recombination.
+                            let pb2 = pow2(cols.scale_exp(col, gi));
+                            *slot += (integer as f64 * (pa * pb2)) as f32;
                         }
                     }
                     dst.copy_from_slice(&acc[..jw]);

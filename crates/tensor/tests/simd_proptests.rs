@@ -5,14 +5,14 @@
 //! approximately equal, *element-exact* — across every shape they
 //! accept and every shape they decline (where the scalar path runs on
 //! both sides anyway). These properties drive the engines through
-//! [`SimdPolicy`]: `Off` is the scalar oracle, `Auto`/`Sse2` are the
-//! kernels under test, so the comparison covers the dispatch layer and
+//! [`SimdPolicy`]: `Off` is the scalar oracle, `Auto` is the kernel
+//! under test, so the comparison covers the dispatch layer and
 //! the ragged-tail stitching as well as the lane arithmetic.
 //!
 //! Shapes deliberately include k not a multiple of any lane width,
-//! group sizes g ∈ {8, 16, 32, 64}, the i16-shadow mantissa tier
-//! (bm ≤ 15, the SIMD entry requirement) and mantissas past it, and
-//! zero-dimension edges. The fused RNS-BFP pipeline is additionally
+//! group sizes g ∈ {8, 16, 32, 64}, mantissas at all three panel lane
+//! widths (`i8` for bm ≤ 7, the SIMD kernel's operands; `i16`; `i32`),
+//! and zero-dimension edges. The fused RNS-BFP pipeline is additionally
 //! driven with operands scaled across 2^±100 and with a moduli set
 //! that fails its 32-bit lane bound.
 
@@ -52,61 +52,59 @@ where
     let scalar = make(SimdPolicy::Off);
     let reference = scalar.gemm(a, b).unwrap();
     let ref_bits: Vec<u32> = reference.data().iter().map(|v| v.to_bits()).collect();
-    for policy in [SimdPolicy::Auto, SimdPolicy::Sse2] {
-        let engine = make(policy);
-        let direct = engine.gemm(a, b).unwrap();
-        let bits: Vec<u32> = direct.data().iter().map(|v| v.to_bits()).collect();
-        prop_assert_eq!(&bits, &ref_bits, "direct path, {:?}", policy);
+    let policy = SimdPolicy::Auto;
+    let engine = make(policy);
+    let direct = engine.gemm(a, b).unwrap();
+    let bits: Vec<u32> = direct.data().iter().map(|v| v.to_bits()).collect();
+    prop_assert_eq!(&bits, &ref_bits, "direct path, {:?}", policy);
 
-        let prepared = engine.prepare(b).unwrap();
-        let mut out = Vec::new();
-        engine.gemm_prepared_into(a, &prepared, &mut out).unwrap();
-        let bits: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
-        prop_assert_eq!(&bits, &ref_bits, "prepared path, {:?}", policy);
+    let prepared = engine.prepare(b).unwrap();
+    let mut out = Vec::new();
+    engine.gemm_prepared_into(a, &prepared, &mut out).unwrap();
+    let bits: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+    prop_assert_eq!(&bits, &ref_bits, "prepared path, {:?}", policy);
 
-        // Fused-epilogue path: engines may fold bias/ReLU into the
-        // kernel's output store (the BFP engine does); the result must
-        // equal the scalar reference followed by a separate
-        // `Epilogue::apply` pass, bit-exactly, for every tail combo.
-        let (m, n) = (a.shape()[0], b.shape()[1]);
-        let bias: Vec<f32> = (0..n)
-            .map(|j| (j as f32) * 0.37 - 0.11 * n as f32)
-            .collect();
-        for (with_bias, with_relu) in [(true, false), (false, true), (true, true)] {
-            let mut epilogue = Epilogue::none();
-            if with_bias {
-                epilogue = epilogue.with_bias(&bias);
-            }
-            if with_relu {
-                epilogue = epilogue.with_relu();
-            }
-            let mut fused = Vec::new();
-            engine
-                .gemm_prepared_epilogue_into(a, &prepared, &epilogue, &mut fused)
-                .unwrap();
-            let mut post = reference.data().to_vec();
-            epilogue.apply(&mut post, m, n).unwrap();
-            let fused_bits: Vec<u32> = fused.iter().map(|v| v.to_bits()).collect();
-            let post_bits: Vec<u32> = post.iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(
-                &fused_bits,
-                &post_bits,
-                "fused epilogue path, {:?}, bias={} relu={}",
-                policy,
-                with_bias,
-                with_relu
-            );
+    // Fused-epilogue path: engines may fold bias/ReLU into the
+    // kernel's output store (the BFP engine does); the result must
+    // equal the scalar reference followed by a separate
+    // `Epilogue::apply` pass, bit-exactly, for every tail combo.
+    let (m, n) = (a.shape()[0], b.shape()[1]);
+    let bias: Vec<f32> = (0..n)
+        .map(|j| (j as f32) * 0.37 - 0.11 * n as f32)
+        .collect();
+    for (with_bias, with_relu) in [(true, false), (false, true), (true, true)] {
+        let mut epilogue = Epilogue::none();
+        if with_bias {
+            epilogue = epilogue.with_bias(&bias);
         }
+        if with_relu {
+            epilogue = epilogue.with_relu();
+        }
+        let mut fused = Vec::new();
+        engine
+            .gemm_prepared_epilogue_into(a, &prepared, &epilogue, &mut fused)
+            .unwrap();
+        let mut post = reference.data().to_vec();
+        epilogue.apply(&mut post, m, n).unwrap();
+        let fused_bits: Vec<u32> = fused.iter().map(|v| v.to_bits()).collect();
+        let post_bits: Vec<u32> = post.iter().map(|v| v.to_bits()).collect();
+        prop_assert_eq!(
+            &fused_bits,
+            &post_bits,
+            "fused epilogue path, {:?}, bias={} relu={}",
+            policy,
+            with_bias,
+            with_relu
+        );
     }
     Ok(())
 }
 
 proptest! {
-    /// BFP engine: every SIMD policy matches the scalar oracle
+    /// BFP engine: the SIMD policy matches the scalar oracle
     /// bit-exactly across ragged shapes, all supported group sizes, and
-    /// mantissa widths inside and past the i16-shadow tier (bm ≤ 15 —
-    /// wider mantissas must cleanly decline into the scalar kernel, not
-    /// diverge).
+    /// mantissa widths at every panel lane width (`i8` panels run the
+    /// AVX2 kernel, wider ones the scalar kernel on both sides).
     #[test]
     fn bfp_simd_policies_are_bit_identical(
         (m, k, n, seed) in shapes(),
@@ -254,11 +252,8 @@ fn zero_dimension_edges_are_bit_identical() {
             .with_simd_policy(SimdPolicy::Off)
             .gemm(&a, &b)
             .unwrap();
-        for policy in [SimdPolicy::Auto, SimdPolicy::Sse2] {
-            let engine = BfpEngine::new(config).with_simd_policy(policy);
-            let out = engine.gemm(&a, &b).unwrap();
-            assert_eq!(out.shape(), &[m, n], "{m}x{k}x{n} {policy:?}");
-            assert_eq!(out.data(), scalar.data(), "{m}x{k}x{n} {policy:?}");
-        }
+        let out = BfpEngine::new(config).gemm(&a, &b).unwrap();
+        assert_eq!(out.shape(), &[m, n], "{m}x{k}x{n}");
+        assert_eq!(out.data(), scalar.data(), "{m}x{k}x{n}");
     }
 }

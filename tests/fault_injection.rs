@@ -17,6 +17,10 @@
 //!   the clean reference (the corruption was corrected), and every
 //!   failure is the typed [`ServeError::Uncorrectable`] — no third
 //!   outcome exists.
+//! - **Aborted stacked flushes count**: a stacked run refused as
+//!   uncorrectable is an execution too — the server's fault totals equal
+//!   the injector's delta even when stacked runs abort into per-item
+//!   re-runs.
 //! - **Threaded protection**: the protected engine under a 2-worker
 //!   [`ParallelGemm`] with narrow column tiles keeps both promises, and
 //!   the per-request fault accounting adds up to exactly what the
@@ -334,6 +338,60 @@ fn protected_serving_corrects_or_refuses_but_never_lies() {
     }
 }
 
+/// The injector's counts since `before`.
+fn counts_since(injector: &FaultInjector, before: FaultCounts) -> FaultCounts {
+    let after = injector.counts();
+    FaultCounts {
+        injected: after.injected - before.injected,
+        detected: after.detected - before.detected,
+        corrected: after.corrected - before.corrected,
+        uncorrectable: after.uncorrectable - before.uncorrectable,
+    }
+}
+
+#[test]
+fn aborted_stacked_flushes_count_toward_server_totals() {
+    // At these rates stacked runs of the protected MLP hit an
+    // uncorrectable group and fall back to per-item re-runs; the
+    // aborted run's own flips and detections must still reach
+    // `ServerStats.faults`.
+    let mirage = Mirage::paper_default();
+    for (placement, shard) in [("dense", false), ("tensor2", true)] {
+        for (seed, rate) in [(9900u64, 0.06), (9901, 0.25)] {
+            let injector = Arc::new(FaultInjector::new(
+                FaultConfig::disabled(seed).with_residue_flip_rate(rate),
+            ));
+            let fx = fixture(
+                &faulty_stack(&mirage, "rns-bfp-protected", &injector),
+                &clean_stack(&mirage, "rns-bfp-protected"),
+                9500,
+            );
+            let network = if shard { &fx.sharded } else { &fx.dense };
+            let before = injector.counts();
+            let server = ModelServer::new(Arc::clone(network), server_config(BatchMode::Stack))
+                .expect("starts");
+            for (outcome, expected) in serve_pool(&server, &fx.pool) {
+                match outcome {
+                    Ok((output, _)) => assert_eq!(output.data(), expected.data()),
+                    Err(ServeError::Uncorrectable { .. }) => {}
+                    Err(other) => panic!("{placement} rate {rate}: unexpected error {other:?}"),
+                }
+            }
+            let stats = server.stats();
+            server.join();
+            let delta = counts_since(&injector, before);
+            assert!(
+                stats.max_batch_seen > 1 && delta.uncorrectable > 0,
+                "{placement} rate {rate}: the run must stack and hit uncorrectable groups"
+            );
+            assert_eq!(
+                stats.faults, delta,
+                "{placement} rate {rate}: server totals vs injector"
+            );
+        }
+    }
+}
+
 #[test]
 fn threaded_protected_serving_accounts_for_every_flip() {
     // A 256-wide layer at batch 1 is big enough for two workers, and
@@ -405,13 +463,7 @@ fn threaded_protected_serving_accounts_for_every_flip() {
         }
         let stats = server.stats();
         server.join();
-        let after = injector.counts();
-        let delta = FaultCounts {
-            injected: after.injected - before.injected,
-            detected: after.detected - before.detected,
-            corrected: after.corrected - before.corrected,
-            uncorrectable: after.uncorrectable - before.uncorrectable,
-        };
+        let delta = counts_since(&injector, before);
         assert_eq!(stats.failed, failed, "seed {seed}");
         assert_eq!(
             stats.faults, delta,
