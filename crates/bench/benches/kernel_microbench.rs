@@ -17,9 +17,10 @@
 //!   per-group-heap-object kernels (kept here as the oracle) — pinned
 //!   to the scalar kernels (`SimdPolicy::Off`) so the row keeps
 //!   measuring the PR 4 layout gain;
-//! - **SIMD GEMM rows**: the explicit AVX2 kernels vs the scalar
-//!   kernels on the same shape (for BFP, the scalar panel kernel, also
-//!   at the `serve-bfp-ff768` shapes 1×768×3072 and 32×768×3072),
+//! - **SIMD GEMM rows**: the explicit AVX2 kernels vs the scalar panel
+//!   kernels on the same shape (for BFP also at the `serve-bfp-ff768`
+//!   shapes 1×768×3072 and 32×768×3072; for RNS-BFP the `u8` residue
+//!   panels against the scalar panel kernel over the same panels),
 //!   asserted bit-identical element-exact before timing and timed as
 //!   order-balanced back-to-back pairs (`mirage_bench::paired_speedup`),
 //!   plus the unprepared RNS-BFP `gemm` at the 256×64×256 training

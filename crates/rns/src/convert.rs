@@ -205,24 +205,39 @@ impl CrtConverter {
         }
     }
 
+    /// [`ReverseConverter::to_unsigned`] of `residues` with channel
+    /// `skip` left out, reading them in place: the drop-one
+    /// reconstruction of RRNS correction, which must not copy the
+    /// vector. The caller has validated `residues` over the set with
+    /// channel `skip` included (debug-asserted here).
+    pub(crate) fn to_unsigned_without(&self, residues: &[u64], skip: usize) -> u128 {
+        let kept = || {
+            let all = residues.iter().enumerate();
+            all.filter(move |&(c, _)| c != skip).map(|(_, &r)| r)
+        };
+        debug_assert_eq!(residues.len(), self.set.len() + 1);
+        debug_assert!(kept().zip(self.set.moduli()).all(|(r, m)| r < m.value()));
+        self.reconstruct(kept())
+    }
+
     /// The CRT reconstruction sum on pre-validated residues, choosing
     /// the fused `u64` specialization when the range permits. Both paths
     /// compute the same `| Σ_i x_i · T_i · M_i |_M` exactly.
-    fn reconstruct(&self, residues: &[u64]) -> u128 {
+    fn reconstruct(&self, residues: impl IntoIterator<Item = u64>) -> u128 {
         if let Some(small) = &self.small {
             // Every term is < 2^62 (residue < m_i <= M < 2^31 and
             // w_i < M < 2^31) and reduced below 2^31 before summing, so
             // the channel sum cannot overflow a u64.
             let mut acc: u64 = 0;
-            for (&r, &w) in residues.iter().zip(&small.wi) {
+            for (r, &w) in residues.into_iter().zip(&small.wi) {
                 acc += small.m.fast_rem(r * w);
             }
             return u128::from(small.m.fast_rem(acc));
         }
         let big_m = self.set.dynamic_range();
         let mut acc: u128 = 0;
-        for ((&r, m), (&mi, &t)) in residues
-            .iter()
+        for ((r, m), (&mi, &t)) in residues
+            .into_iter()
             .zip(self.set.moduli())
             .zip(self.big_mi.iter().zip(&self.ti))
         {
@@ -250,13 +265,14 @@ impl ReverseConverter for CrtConverter {
 
     fn to_unsigned(&self, residues: &[u64]) -> Result<u128> {
         validate(residues, &self.set)?;
-        Ok(self.reconstruct(residues))
+        Ok(self.reconstruct(residues.iter().copied()))
     }
 
     /// The per-group GEMM hot path: no validation (debug-asserted), no
     /// allocation, and the fused `u64` reconstruction when the dynamic
     /// range allows — identical results to [`ReverseConverter::to_signed`]
     /// on valid input.
+    #[inline]
     fn to_signed_trusted(&self, residues: &[u64]) -> i128 {
         debug_assert!(validate(residues, &self.set).is_ok());
         if let Some(small) = &self.small {
@@ -271,7 +287,7 @@ impl ReverseConverter for CrtConverter {
                 i128::from(v)
             }
         } else {
-            let v = self.reconstruct(residues);
+            let v = self.reconstruct(residues.iter().copied());
             if v > self.set.psi() {
                 v as i128 - self.set.dynamic_range() as i128
             } else {

@@ -146,12 +146,15 @@ impl RedundantRns {
     }
 
     /// Attempts to decode, correcting at most one corrupted channel.
+    /// Allocation-free: each drop-one candidate reads `residues` in
+    /// place.
     ///
     /// # Errors
     ///
     /// - Validation errors for malformed vectors.
     /// - [`RnsError::Uncorrectable`] when no single-channel correction
     ///   yields a consistent value (e.g. two channels corrupted).
+    // mirage-lint: no_alloc
     pub fn correct(&self, residues: &[u64]) -> Result<Corrected> {
         let v = self.full_converter.to_unsigned(residues)?;
         let m_full = self.full.dynamic_range();
@@ -166,9 +169,8 @@ impl RedundantRns {
         // value in the legitimate range that disagrees only with j.
         let mut candidate: Option<Corrected> = None;
         for (j, conv) in self.drop_one.iter().enumerate() {
-            let mut reduced = residues.to_vec();
-            reduced.remove(j);
-            let x = conv.to_unsigned(&reduced)?;
+            // The full-set conversion above validated every channel.
+            let x = conv.to_unsigned_without(residues, j);
             // The drop-one reconstruction lives in [0, M_reduced); range
             // and sign checks must use that product, not the full set's.
             let m_reduced = conv.set().dynamic_range();

@@ -1,70 +1,93 @@
-//! Explicit SIMD kernels for the RNS-BFP group pipeline.
+//! The explicit AVX2 kernel of the RNS-BFP group pipeline, over `u8`
+//! residue panels.
 //!
-//! The RNS-BFP GEMM's hot loop computes, per activation group, one
-//! small dot product *per residue channel* over the contiguous `u16`
-//! planes of a packed matrix (the `U16` storage tier is chosen only
-//! when `(m − 1)² · g ≤ u32::MAX`, so a plain `u32` accumulator never
-//! overflows), reverse-converts the three channel residues with the
-//! small-range CRT, and folds the signed integer into an `f32`
-//! accumulator at the group's power-of-two scale. This module
-//! vectorizes that pipeline with `pmaddwd`, the instruction the BFP
-//! panel kernel widens its group sums with.
+//! The RNS-BFP GEMM computes, per activation group and output column,
+//! one small dot product *per residue channel*, reverse-converts the
+//! channel residues with the small-range CRT, and folds the signed
+//! integer into an `f32` accumulator at the group's power-of-two scale.
+//! When every modulus is at most 128 ([`crate::planes::U8_MAX_MODULUS`])
+//! both operands store their residues as `u8` in the BFP panel geometry
+//! (see [`crate::planes`]): `A` row-major at the padded group stride,
+//! `B` as k-interleaved 8-column panels. One 32-byte load of a panel
+//! quad holds 4 k-lanes of 8 columns, so every column's dot lands in its
+//! own vector lane, with no horizontal reduction. The scalar panel
+//! kernel of the GEMM engine is the oracle; this kernel is bit-identical
+//! to it by the arguments below.
 //!
 //! ## Channel dots
 //!
-//! - **Residues fit `i16`.** The `U16` tier bound with `g ≥ 8` forces
-//!   `m − 1 ≤ ⌊√(u32::MAX / 8)⌋ = 23170 < 32768`, so every residue is
-//!   a non-negative `i16` and `pmaddwd`'s signed products equal the
-//!   unsigned ones.
-//! - **Pairwise sums fit `i32`.** `2 · (m − 1)² ≤ 2 · 23170² < 2³¹`.
-//! - **Lane accumulation is exact mod 2³².** `add_epi32` wraps mod
-//!   2³², which is bit-identical to `u32` wrapping arithmetic, and the
-//!   true column sum is ≤ `u32::MAX` by the tier bound — so the final
-//!   lane bits *are* the exact `u32` dot, the same value the scalar
-//!   `u32` accumulator produces.
+//! Per channel and quad, `pmaddubsw(a, b)` multiplies the broadcast `A`
+//! quad (unsigned bytes) by the panel quad (signed bytes). Residues are
+//! at most 127, so they are valid on both sides, every product is
+//! exact, and each 16-bit pair sum is at most `2 · 127² = 32258 < 2¹⁵`:
+//! it never saturates.
 //!
-//! ## Fused reduction and CRT ([`Crt3Lanes`])
+//! ## Folding the CRT weights into the widening (fused mode)
 //!
-//! On AVX2 the whole group pipeline stays in 32-bit integer lanes, 8
-//! output columns per register:
+//! The small-range CRT of residues `rᵢ = dᵢ mod mᵢ` is `v = (Σ rᵢ · wᵢ)
+//! mod M` with the fused weights `wᵢ = |Tᵢ · Mᵢ|_M`, then `v − M` when
+//! `v > ψ`. Each `wᵢ` is a multiple of `Mᵢ = M / mᵢ`, so `mᵢ · wᵢ ≡ 0
+//! (mod M)` and `dᵢ · wᵢ ≡ (dᵢ mod mᵢ) · wᵢ (mod M)` for the *raw* dot
+//! `dᵢ`. The per-channel reductions are therefore unnecessary: `v = (Σ
+//! dᵢ · wᵢ) mod M` is the same unique residue the scalar
+//! `to_signed_trusted` reduces term by term, so after the signed adjust
+//! both are the same integer in `[−ψ − 1, ψ]`. The kernel computes it
+//! with one Barrett step instead of four:
 //!
-//! - **Channel reduction.** `d mod m` by multiply-high Barrett with
-//!   `μ = ⌊2³² / m⌋`: `q = ⌊d·μ / 2³²⌋` undershoots `⌊d/m⌋` by at most
-//!   one for every `d < 2³²` (the deficit is `d·(2³² mod m) / (m·2³²)
-//!   < 1`), so `d − q·m < 2m` and one conditional subtraction (an
-//!   unsigned `min(r, r − m)`) finishes it. `_mm256_mul_epu32` forms
-//!   the 64-bit products on the even and odd lanes separately.
-//! - **Small-range CRT.** `s = Σ rᵢ·wᵢ` with `rᵢ < mᵢ` and the fused
-//!   weights `wᵢ = |Tᵢ·Mᵢ|_M`. [`Crt3Lanes::new`] admits a moduli set
-//!   only when `Σ (mᵢ − 1)·wᵢ < 2³²`, so every product and the sum are
-//!   exact `u32` lanes; `v = s mod M` is one more Barrett step, and
-//!   `M < 2³¹` keeps the signed adjust `v > ψ ⇒ v − M` inside `i32`.
-//!   `v` is the unique residue of the same sum the scalar
-//!   `to_signed_trusted` reduces term by term, so the integers agree.
-//!   Sets that fail the bound (large dynamic ranges) get no lanes and
-//!   the caller runs its scalar CRT.
-//! - **Scale recombination.** The same `(int as f64) · (pa2 · pb2)`
-//!   chain as the scalar kernel, four `f64` lanes at a time, rounded to
-//!   `f32` by `vcvtpd2ps` (nearest-even, exactly like `as f32`) and
-//!   added into an 8-lane `f32` accumulator in ascending group order.
+//! - each channel's pair sums accumulate over the group's quads in
+//!   `i16` lanes, exact while `2 · quads · (m − 1)² ≤ i16::MAX`
+//!   (`(g/2)(m − 1)²` for `g` a multiple of 4);
+//! - one `pmaddwd` against the broadcast weight `wᵢ` (not `1`) widens
+//!   each column's two `i16` halves into `dᵢ · wᵢ` in its own `i32`
+//!   lane, exact while `wᵢ ≤ i16::MAX`;
+//! - the channel products add in `i32`: [`Crt3Lanes::new`] admits the
+//!   fused mode only when `Σᵢ (g · (mᵢ − 1)² + (mᵢ − 1)) · wᵢ < 2³¹`,
+//!   which also leaves room for a fault delta per channel;
+//! - `v = s mod M` by one multiply-high Barrett step with `μ = ⌊2³² /
+//!   M⌋`: `q = ⌊s·μ / 2³²⌋` undershoots `⌊s/M⌋` by at most one for every
+//!   `s < 2³²`, so one conditional subtraction finishes it.
+//!
+//! The paper's `{31, 32, 33}` at `g ∈ {16, 32}` passes all three bounds
+//! (at `g = 32` the weighted sum is about 2.02 · 10⁹ < 2³¹).
+//!
+//! ## Wide mode
+//!
+//! Sets that fail a fused bound — `{63, 64, 65}`, whose `M > 2¹⁵` gives
+//! weights above `i16::MAX` and whose `(g/2)(m − 1)²` reaches 2¹⁵ at `g
+//! = 16` — widen every quad's pair sums with `pmaddwd(·, 1)` into exact
+//! `i32` dots (bounded by `g · (m − 1)² + (m − 1) ≤ i32::MAX`), reduce
+//! each channel by one Barrett step, and form `Σ rᵢ · wᵢ` (admitted
+//! while `Σ (mᵢ − 1) · wᵢ < 2³²`) before the final reduction mod `M`.
+//! `M < 2³¹` keeps the signed adjust inside `i32` in both modes.
+//!
+//! ## Scale recombination
+//!
+//! The scalar kernel's `(int as f64) · (pow2(ae) · pow2(be))` chain,
+//! four `f64` lanes at a time, with `pow2` assembled from the exponent
+//! bits (every quantizer scale exponent lies in the normal `f64`
+//! range), rounded to `f32` by `vcvtpd2ps` (nearest-even, exactly like
+//! `as f32`) and added into an 8-lane `f32` accumulator in ascending
+//! group order.
 //!
 //! ## Checked lanes for redundant channels ([`CheckedLanes`])
 //!
 //! The RRNS-protected GEMM carries one or two redundant channels `r`
-//! beside the base three. [`CheckedLanes`] runs the same pipeline over
-//! all of them and adds, per group and lane:
+//! beside the base three. [`CheckedLanes`] runs the same base pipeline
+//! and adds, per group and lane:
 //!
-//! - **Fault deltas.** A planned residue flip adds `δ ∈ [1, m)` to the
-//!   raw channel dot before the Barrett step; `(d + δ) mod m` equals
-//!   the flipped residue `((d mod m) + δ) mod m`. The constructor
-//!   checks `(m − 1)² · g + (m − 1) ≤ u32::MAX` on every channel, so
-//!   the sum stays an exact `u32` lane.
-//! - **Consistency.** The base CRT gives `v ∈ [−(ψ+1), ψ]`. The lane is
-//!   consistent iff `v ≥ −ψ` and, for every redundant `r`,
-//!   `(v + Kᵣ) mod r == dotᵣ mod r`, where `Kᵣ` is the least multiple
-//!   of `r` at or above `ψ + 1` (so `v + Kᵣ ≥ 0` and `≡ v`). By CRT
-//!   uniqueness this is exactly the scalar check a protected engine
-//!   runs before deciding to correct
+//! - **Fault deltas.** A planned residue flip adds `δ ∈ [1, m)` to a
+//!   channel. On a base channel in fused mode it adds `δ · wᵢ` to the
+//!   weighted sum, since `(dᵢ + δ) · wᵢ ≡ ((dᵢ mod mᵢ + δ) mod mᵢ) · wᵢ`;
+//!   in wide mode, and on a redundant channel, it adds `δ` to the raw
+//!   dot before that channel's Barrett step, and `(d + δ) mod m` is the
+//!   flipped residue. The bounds above include this headroom.
+//! - **Consistency.** Redundant channels keep their explicit dot and
+//!   reduction. The base CRT gives `v ∈ [−(ψ+1), ψ]`; the lane is
+//!   consistent iff `v ≥ −ψ` and, for every redundant `r`, `(v + Kᵣ) mod
+//!   r == dotᵣ mod r`, where `Kᵣ` is the least multiple of `r` at or
+//!   above `ψ + 1` (so `v + Kᵣ ≥ 0` and `≡ v`). By CRT uniqueness this is
+//!   exactly the scalar check a protected engine runs before deciding
+//!   to correct
 //!   ([`RedundantRns::is_consistent`](crate::RedundantRns::is_consistent)).
 //!
 //! The block returns a mask of inconsistent lanes; the caller reruns
@@ -78,25 +101,26 @@
 //! This is one of the two modules in the workspace allowed to use
 //! `unsafe` (machine-enforced by `mirage-lint`'s unsafe-confined rule).
 //! Every `unsafe` is preceded by a `// SAFETY:` argument; all bounds
-//! are validated once at the safe entry points, and a [`Crt3Lanes`]
-//! value exists only on a CPU that reported AVX2 when it was built.
+//! are validated at the safe entry points, and a [`Crt3Lanes`] value
+//! exists only on a CPU that reported AVX2 when it was built.
 #![allow(unsafe_code)]
 
 use crate::convert::SmallCrtConstants;
+use crate::planes::{PANEL, QUAD, U8_MAX_MODULUS};
 use crate::Modulus;
 
-/// Residue channels per call — the paper's special set `{2^k − 1, 2^k,
-/// 2^k + 1}` is always three channels.
+/// Base residue channels per call — the paper's special set `{2^k − 1,
+/// 2^k, 2^k + 1}` is always three channels.
 pub const CHANNELS: usize = 3;
-
-/// Output columns per fused block (one 256-bit register of `u32`/`f32`).
-pub const BLOCK: usize = 8;
 
 /// Most redundant channels a [`CheckedLanes`] carries — two are what
 /// single-error correction needs.
 pub const MAX_REDUNDANT: usize = 2;
 
-/// Whether the 256-bit residue kernels can run on this CPU.
+/// Most channels one block reads: the base three plus the redundant.
+const MAX_CHANNELS: usize = CHANNELS + MAX_REDUNDANT;
+
+/// Whether the 256-bit residue kernel can run on this CPU.
 fn avx2_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
@@ -108,16 +132,33 @@ fn avx2_available() -> bool {
     }
 }
 
-/// Per-GEMM lane constants of the fused AVX2 group pipeline for one
-/// 3-modulus set and group size: Barrett reciprocals of the channel
-/// moduli and of `M`, the fused CRT weights, and `ψ`, all as `u32`.
+/// `⌊2³² / m⌋` for `2 ≤ m < 2³²`: the Barrett reciprocal of the
+/// 32-bit lanes (at most `2³¹`, so it fits a `u32`).
+fn barrett_u32(m: u64) -> u32 {
+    ((1u64 << 32) / m) as u32
+}
+
+/// Whether one channel's `pmaddubsw` pair sums can accumulate over a
+/// whole group in `i16` lanes: each 16-bit lane adds two products per
+/// quad, so the bound is `2 · quads · (m − 1)² ≤ i16::MAX`.
+fn i16_group_sums_fit(m: &Modulus, quads: usize) -> bool {
+    let top = u128::from(m.value() - 1);
+    2 * quads as u128 * top * top <= i16::MAX as u128
+}
+
+/// Per-GEMM lane constants of the AVX2 group pipeline for one 3-modulus
+/// set and group size: the group's quad count, whether the CRT weights
+/// fold into the widening (the fused mode, see the module docs),
+/// Barrett reciprocals of the channel moduli and of `M`, the fused CRT
+/// weights, and `ψ`, all as `u32`.
 ///
 /// Built by [`Crt3Lanes::new`], which performs the whole exactness
-/// check once (see the module docs); [`Crt3Lanes::block8`] then runs
-/// without re-checking the CPU or the arithmetic bounds.
+/// check once; [`Crt3Lanes::block`] then runs without re-checking the
+/// CPU or the arithmetic bounds.
 #[derive(Debug, Clone, Copy)]
 pub struct Crt3Lanes {
-    g: usize,
+    quads: usize,
+    fused: bool,
     moduli: [u32; CHANNELS],
     magic: [u32; CHANNELS],
     weights: [u32; CHANNELS],
@@ -126,34 +167,48 @@ pub struct Crt3Lanes {
     psi: u32,
 }
 
-/// `⌊2³² / m⌋` for `2 ≤ m < 2³²`: the Barrett reciprocal of the
-/// 32-bit lanes (at most `2³¹`, so it fits a `u32`).
-fn barrett_u32(m: u64) -> u32 {
-    ((1u64 << 32) / m) as u32
-}
-
 impl Crt3Lanes {
     /// Derives the lane constants for `moduli` (three channels) at
     /// group size `g` from the converter's small-range constants.
     ///
-    /// Returns `None` — the caller keeps its scalar reduction and CRT —
-    /// unless AVX2 is available, `g` is a positive multiple of 16, every
-    /// channel is in the `u16` dot tier (`(m − 1)² · g ≤ u32::MAX` with
-    /// `m − 1 ≤ i16::MAX`), `M < 2³¹`, and `Σ (mᵢ − 1) · wᵢ < 2³²`.
+    /// Returns `None` — the caller keeps its scalar panel kernel —
+    /// unless AVX2 is available, every modulus is at most 128 (`u8`
+    /// planes), `M < 2³¹`, every widened dot fits `i32`, and `Σ (mᵢ −
+    /// 1) · wᵢ < 2³²`. The fused mode is chosen when the `i16`
+    /// group-sum, `wᵢ ≤ i16::MAX` and `2³¹` bounds also hold.
     pub fn new(moduli: &[Modulus], crt: &SmallCrtConstants<'_>, g: usize) -> Option<Self> {
-        if moduli.len() != CHANNELS || crt.wi.len() != CHANNELS {
-            return None;
-        }
-        if g == 0 || !g.is_multiple_of(16) {
+        Self::for_channels(moduli, moduli, crt, g)
+    }
+
+    /// [`Crt3Lanes::new`] for the `base` channels of a block that reads
+    /// every channel of `all`: the `u8`, `i32` and `i16` bounds must
+    /// hold on each of them.
+    fn for_channels(
+        base: &[Modulus],
+        all: &[Modulus],
+        crt: &SmallCrtConstants<'_>,
+        g: usize,
+    ) -> Option<Self> {
+        if base.len() != CHANNELS || crt.wi.len() != CHANNELS || g == 0 {
             return None;
         }
         let range = crt.m.value();
         if range >= 1 << 31 || crt.psi >= range {
             return None;
         }
-        let mut worst_sum = 0u128;
+        let top = |m: &Modulus| u128::from(m.value() - 1);
+        // The largest raw dot plus fault delta of a channel.
+        let dot_max = |m: &Modulus| g as u128 * top(m) * top(m) + top(m);
+        if all
+            .iter()
+            .any(|m| m.value() > U8_MAX_MODULUS || dot_max(m) > i32::MAX as u128)
+        {
+            return None;
+        }
+        let quads = g.div_ceil(QUAD);
         let mut lanes = Crt3Lanes {
-            g,
+            quads,
+            fused: all.iter().all(|m| i16_group_sums_fit(m, quads)),
             moduli: [0; CHANNELS],
             magic: [0; CHANNELS],
             weights: [0; CHANNELS],
@@ -161,65 +216,63 @@ impl Crt3Lanes {
             range_magic: barrett_u32(range),
             psi: crt.psi as u32,
         };
-        for (c, (m, &w)) in moduli.iter().zip(crt.wi).enumerate() {
-            let top = u128::from(m.value() - 1);
-            if top > i16::MAX as u128 || top * top * g as u128 > u128::from(u32::MAX) {
-                return None;
-            }
-            worst_sum += top * u128::from(w);
+        let (mut fused_sum, mut reduced_sum) = (0u128, 0u128);
+        for (c, (m, &w)) in base.iter().zip(crt.wi).enumerate() {
+            fused_sum += dot_max(m) * u128::from(w);
+            reduced_sum += top(m) * u128::from(w);
+            lanes.fused &= w <= i16::MAX as u64;
             lanes.moduli[c] = m.value() as u32;
             lanes.magic[c] = barrett_u32(m.value());
             lanes.weights[c] = w as u32;
         }
-        if worst_sum > u128::from(u32::MAX) || !avx2_available() {
+        lanes.fused &= fused_sum <= i32::MAX as u128;
+        if reduced_sum > u128::from(u32::MAX) || !avx2_available() {
             return None;
         }
         Some(lanes)
     }
 
-    /// One fused block: the output row segment of **8 consecutive
-    /// columns** against one `a` row, over every group. Group `gi` of
-    /// the row starts at `a_off + gi * G` in each channel plane of `a`;
-    /// group `gi` of column `c` at `b_base + c * stride + gi * G` in
-    /// each plane of `b`. `pa2[gi]` is the row's power-of-two group
-    /// scale and `pb2[gi * 8 + c]` column `c`'s, so `pa2.len()` is the
-    /// group count. Writes `Σ_gi ((crt(dots) as f64 · (pa2 · pb2)) as
-    /// f32)` per column into `out[..8]`, groups in ascending order.
+    /// One block: the 8 columns of one `B` panel against one `A` row,
+    /// over every group. `a[c]` is the row's lanes in channel `c`
+    /// (`groups · quads · 4`, groups at the padded stride), `b[c]` the
+    /// panel's (`groups · quads · 32`, see [`crate::planes`]), `a_exps`
+    /// the row's group scale exponents (so `a_exps.len()` is the group
+    /// count) and `b_exps` the panel's, 8 per group. Writes `Σ_gi
+    /// ((crt(dots) as f64 · (pow2(ae) · pow2(be))) as f32)` per column
+    /// into `out`, groups in ascending order.
     ///
-    /// Returns `false` — leaving `out` untouched — when `G` is not the
-    /// group size these lanes were built for, `out` is not 8 long, or
-    /// any slice is too short; the caller then runs its scalar loop.
-    #[allow(clippy::too_many_arguments)]
-    pub fn block8<const G: usize>(
+    /// Returns `false` — leaving `out` untouched — when any slice is too
+    /// short for that geometry; the caller then runs its scalar loop.
+    pub fn block(
         &self,
-        a: [&[u16]; CHANNELS],
-        a_off: usize,
-        b: [&[u16]; CHANNELS],
-        b_base: usize,
-        stride: usize,
-        pa2: &[f64],
-        pb2: &[f64],
-        out: &mut [f32],
+        a: [&[u8]; CHANNELS],
+        b: [&[u8]; CHANNELS],
+        a_exps: &[i32],
+        b_exps: &[i32],
+        out: &mut [f32; PANEL],
     ) -> bool {
-        let groups = pa2.len();
-        let Some((a_end, b_end)) = block_ends::<G>(groups, a_off, b_base, stride) else {
-            return false;
-        };
-        if G != self.g
-            || out.len() != BLOCK
-            || pb2.len() < groups * BLOCK
-            || a.iter().any(|p| p.len() < a_end)
-            || b.iter().any(|p| p.len() < b_end)
-        {
+        if !self.fits(&a, &b, a_exps, b_exps) {
             return false;
         }
         #[cfg(target_arch = "x86_64")]
         {
+            let ops = x86::Block {
+                a: &a,
+                b: &b,
+                a_exps,
+                b_exps,
+                deltas: &[],
+            };
             // SAFETY: a `Crt3Lanes` exists only where AVX2 was detected
-            // (`new`), `G` is a positive multiple of 16 (`new` checked
-            // `self.g`), and every slice bound the kernel reads is
-            // verified above.
-            unsafe { x86::block8_avx2::<G>(self, a, a_off, b, b_base, stride, pa2, pb2, out) };
+            // (`new`), `fits` verified every slice bound the kernel
+            // reads, and no deltas are read without redundant channels.
+            unsafe {
+                if self.fused {
+                    x86::block_avx2::<0, true, false>(self, &Redundant::NONE, &ops, out);
+                } else {
+                    x86::block_avx2::<0, false, false>(self, &Redundant::NONE, &ops, out);
+                }
+            }
             true
         }
         #[cfg(not(target_arch = "x86_64"))]
@@ -228,36 +281,48 @@ impl Crt3Lanes {
         }
     }
 
-    /// The integer half of the pipeline on its own: channel dots in,
-    /// signed CRT integers out (for the exactness tests).
-    #[cfg(test)]
-    fn crt8(&self, dots: &[[u32; BLOCK]; CHANNELS]) -> [i32; BLOCK] {
-        #[cfg(target_arch = "x86_64")]
-        {
-            // SAFETY: `self` proves AVX2; the kernel reads only its
-            // arguments.
-            unsafe { x86::crt8_avx2_array(self, dots) }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            unreachable!("Crt3Lanes is never built off x86_64")
-        }
+    /// Whether the operand slices hold the block geometry the kernel
+    /// reads (see [`Crt3Lanes::block`]).
+    fn fits(&self, a: &[&[u8]], b: &[&[u8]], a_exps: &[i32], b_exps: &[i32]) -> bool {
+        let groups = a_exps.len();
+        let Some(row) = groups.checked_mul(self.quads * QUAD) else {
+            return false;
+        };
+        a.iter().all(|p| p.len() >= row)
+            && b.iter().all(|p| p.len() / PANEL >= row)
+            && b_exps.len() / PANEL >= groups
     }
 }
 
-/// [`Crt3Lanes`] plus one or two redundant channels checked in lanes
-/// (see the module docs): the fused block of the RRNS-protected GEMM.
-///
-/// Built by [`CheckedLanes::new`], which performs every bound check of
-/// [`Crt3Lanes::new`] plus the fault-delta headroom on all channels.
+/// The redundant channels' constants of a [`CheckedLanes`] (moduli 1
+/// and zeros past the redundant count).
 #[derive(Debug, Clone, Copy)]
-pub struct CheckedLanes {
-    base: Crt3Lanes,
-    redundant: usize,
+struct Redundant {
     moduli: [u32; MAX_REDUNDANT],
     magic: [u32; MAX_REDUNDANT],
     /// `Kᵣ`: the least multiple of `r` at or above `ψ + 1`.
     offset: [u32; MAX_REDUNDANT],
+}
+
+impl Redundant {
+    /// No redundant channels: the unprotected block.
+    const NONE: Redundant = Redundant {
+        moduli: [1; MAX_REDUNDANT],
+        magic: [0; MAX_REDUNDANT],
+        offset: [0; MAX_REDUNDANT],
+    };
+}
+
+/// [`Crt3Lanes`] plus one or two redundant channels checked in lanes
+/// (see the module docs): the block of the RRNS-protected GEMM.
+///
+/// Built by [`CheckedLanes::new`], which performs every bound check of
+/// [`Crt3Lanes::new`] on all channels, base and redundant.
+#[derive(Debug, Clone, Copy)]
+pub struct CheckedLanes {
+    base: Crt3Lanes,
+    redundant: usize,
+    constants: Redundant,
 }
 
 impl CheckedLanes {
@@ -266,34 +331,26 @@ impl CheckedLanes {
     /// **base** set's small-range CRT constants.
     ///
     /// Returns `None` (the caller keeps its scalar checked decode) when
-    /// [`Crt3Lanes::new`] declines the base set, the redundant count is
-    /// not 1 or 2, or any channel fails `m − 1 ≤ i16::MAX` and
-    /// `(m − 1)² · g + (m − 1) ≤ u32::MAX`.
+    /// the redundant count is not 1 or 2 or the bounds of
+    /// [`Crt3Lanes::new`] fail on any channel; the `i16` group-sum
+    /// bound decides the fused mode over every channel.
     pub fn new(moduli: &[Modulus], crt: &SmallCrtConstants<'_>, g: usize) -> Option<Self> {
         let (base, redundant) = moduli.split_at_checked(CHANNELS)?;
         if redundant.is_empty() || redundant.len() > MAX_REDUNDANT {
             return None;
         }
-        for m in moduli {
-            let top = u128::from(m.value() - 1);
-            if top > i16::MAX as u128 || top * top * g as u128 + top > u128::from(u32::MAX) {
-                return None;
-            }
-        }
         let mut lanes = CheckedLanes {
-            base: Crt3Lanes::new(base, crt, g)?,
+            base: Crt3Lanes::for_channels(base, moduli, crt, g)?,
             redundant: redundant.len(),
-            moduli: [1; MAX_REDUNDANT],
-            magic: [0; MAX_REDUNDANT],
-            offset: [0; MAX_REDUNDANT],
+            constants: Redundant::NONE,
         };
         for (c, m) in redundant.iter().enumerate() {
             let r = m.value();
-            lanes.moduli[c] = r as u32;
-            lanes.magic[c] = barrett_u32(r);
-            // ψ < 2³⁰ (`Crt3Lanes::new` bounds M < 2³¹), so Kᵣ < 2³¹ and
-            // `v + Kᵣ ≤ ψ + Kᵣ` fits a lane.
-            lanes.offset[c] = (crt.psi / r + 1) as u32 * r as u32;
+            lanes.constants.moduli[c] = r as u32;
+            lanes.constants.magic[c] = barrett_u32(r);
+            // ψ < 2³⁰ (M < 2³¹), so Kᵣ < 2³¹ and `v + Kᵣ ≤ ψ + Kᵣ`
+            // fits a lane.
+            lanes.constants.offset[c] = (crt.psi / r + 1) as u32 * r as u32;
         }
         Some(lanes)
     }
@@ -303,82 +360,60 @@ impl CheckedLanes {
         CHANNELS + self.redundant
     }
 
-    /// One checked block: [`Crt3Lanes::block8`] over every channel
-    /// plane in `a` and `b` (base first, then redundant), with each
-    /// `deltas[(gi · channels + c) · 8 + lane]` added to that raw
-    /// channel dot when `deltas` is given. Writes the 8 column sums
-    /// into `out` and returns the mask of lanes whose group results
-    /// failed the consistency check in any group (bit `lane`); the
-    /// sums of masked lanes are meaningless.
+    /// One checked block: [`Crt3Lanes::block`] over every channel plane
+    /// in `a` and `b` (base first, then redundant), with each
+    /// `deltas[(gi · channels + c) · 8 + lane]` added to that channel
+    /// when `deltas` is given. Writes the 8 column sums into `out` and
+    /// returns the mask of lanes whose group results failed the
+    /// consistency check in any group (bit `lane`); the sums of masked
+    /// lanes are meaningless.
     ///
-    /// Returns `None` — leaving `out` untouched — on a wrong `G`, plane
-    /// count, `out` width or short slice; the caller then runs its
-    /// scalar checked loop.
-    #[allow(clippy::too_many_arguments)]
-    pub fn block8<const G: usize>(
+    /// Returns `None` — leaving `out` untouched — on a wrong plane
+    /// count or a short slice; the caller then runs its scalar checked
+    /// loop.
+    pub fn block(
         &self,
-        a: &[&[u16]],
-        a_off: usize,
-        b: &[&[u16]],
-        b_base: usize,
-        stride: usize,
-        pa2: &[f64],
-        pb2: &[f64],
+        a: &[&[u8]],
+        b: &[&[u8]],
+        a_exps: &[i32],
+        b_exps: &[i32],
         deltas: Option<&[u32]>,
-        out: &mut [f32],
+        out: &mut [f32; PANEL],
     ) -> Option<u32> {
         let channels = self.channels();
-        let (a_end, b_end) = block_ends::<G>(pa2.len(), a_off, b_base, stride)?;
-        let table = pa2.len().checked_mul(channels * BLOCK)?;
-        if G != self.base.g
-            || a.len() != channels
+        let table = a_exps.len().checked_mul(channels * PANEL)?;
+        if a.len() != channels
             || b.len() != channels
-            || out.len() != BLOCK
-            || pb2.len() < pa2.len() * BLOCK
             || deltas.is_some_and(|d| d.len() < table)
-            || a.iter().any(|p| p.len() < a_end)
-            || b.iter().any(|p| p.len() < b_end)
+            || !self.base.fits(a, b, a_exps, b_exps)
         {
             return None;
         }
         #[cfg(target_arch = "x86_64")]
         {
+            let ops = x86::Block {
+                a,
+                b,
+                a_exps,
+                b_exps,
+                deltas: deltas.unwrap_or_default(),
+            };
+            let (lanes, red) = (&self.base, &self.constants);
             // SAFETY: a `CheckedLanes` exists only where AVX2 was
-            // detected (`Crt3Lanes::new`), `G` is a positive multiple of
-            // 16, the plane counts match `channels`, and every slice
-            // bound the kernel reads is verified above.
+            // detected (`Crt3Lanes::for_channels`), the plane counts
+            // match `R`, and every slice bound the kernel reads —
+            // including the delta table when `FAULTY` — is verified
+            // above.
             let mask = unsafe {
-                match (self.redundant, deltas) {
-                    (1, None) => x86::checked_block8_avx2::<G, 1, false>(
-                        self,
-                        a,
-                        a_off,
-                        b,
-                        b_base,
-                        stride,
-                        pa2,
-                        pb2,
-                        &[],
-                        out,
-                    ),
-                    (1, Some(d)) => x86::checked_block8_avx2::<G, 1, true>(
-                        self, a, a_off, b, b_base, stride, pa2, pb2, d, out,
-                    ),
-                    (_, None) => x86::checked_block8_avx2::<G, 2, false>(
-                        self,
-                        a,
-                        a_off,
-                        b,
-                        b_base,
-                        stride,
-                        pa2,
-                        pb2,
-                        &[],
-                        out,
-                    ),
-                    (_, Some(d)) => x86::checked_block8_avx2::<G, 2, true>(
-                        self, a, a_off, b, b_base, stride, pa2, pb2, d, out,
-                    ),
+                match (self.redundant, deltas.is_some(), lanes.fused) {
+                    (1, false, true) => x86::block_avx2::<1, true, false>(lanes, red, &ops, out),
+                    (1, false, false) => x86::block_avx2::<1, false, false>(lanes, red, &ops, out),
+                    (1, true, true) => x86::block_avx2::<1, true, true>(lanes, red, &ops, out),
+                    (1, true, false) => x86::block_avx2::<1, false, true>(lanes, red, &ops, out),
+                    (_, false, true) => x86::block_avx2::<2, true, false>(lanes, red, &ops, out),
+                    (_, false, false) => x86::block_avx2::<2, false, false>(lanes, red, &ops, out),
+                    (_, true, true) => x86::block_avx2::<2, true, true>(lanes, red, &ops, out),
+                    (_, true, false) => x86::block_avx2::<2, false, true>(lanes, red, &ops, out),
                 }
             };
             Some(mask)
@@ -388,105 +423,61 @@ impl CheckedLanes {
             None
         }
     }
-
-    /// The integer half on its own: raw channel dots in (base then
-    /// redundant), signed base-CRT integers and the inconsistency mask
-    /// out (for the exactness tests).
-    #[cfg(test)]
-    fn check8(&self, dots: &[[u32; BLOCK]]) -> ([i32; BLOCK], u32) {
-        assert_eq!(dots.len(), self.channels());
-        #[cfg(target_arch = "x86_64")]
-        {
-            // SAFETY: `self` proves AVX2; the kernel reads only its
-            // arguments.
-            unsafe { x86::check8_avx2_array(self, dots) }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            unreachable!("CheckedLanes is never built off x86_64")
-        }
-    }
-}
-
-/// The exclusive ends of one block's `a` row span and `b` column-block
-/// span, or `None` on overflow.
-fn block_ends<const G: usize>(
-    groups: usize,
-    a_off: usize,
-    b_base: usize,
-    stride: usize,
-) -> Option<(usize, usize)> {
-    let span = groups.checked_mul(G)?;
-    let a_end = a_off.checked_add(span)?;
-    let b_end = stride
-        .checked_mul(BLOCK - 1)?
-        .checked_add(b_base)?
-        .checked_add(span)?;
-    Some((a_end, b_end))
 }
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{CheckedLanes, Crt3Lanes, BLOCK, CHANNELS, MAX_REDUNDANT};
+    use super::{Crt3Lanes, Redundant, CHANNELS, MAX_CHANNELS, MAX_REDUNDANT, PANEL, QUAD};
     use core::arch::x86_64::*;
 
-    /// [`Crt3Lanes`] broadcast into registers once per block.
+    /// One block's operands, validated by the safe entry points.
+    pub(super) struct Block<'s, 'p> {
+        pub(super) a: &'s [&'p [u8]],
+        pub(super) b: &'s [&'p [u8]],
+        pub(super) a_exps: &'s [i32],
+        pub(super) b_exps: &'s [i32],
+        pub(super) deltas: &'s [u32],
+    }
+
+    /// [`Crt3Lanes`] and the redundant constants, broadcast into
+    /// registers once per block.
     struct Consts {
         moduli: [__m256i; CHANNELS],
         magic: [__m256i; CHANNELS],
+        /// The weights as `i32` lanes (for `mullo`) and as `i16` lanes
+        /// (for the fused `pmaddwd`).
         weights: [__m256i; CHANNELS],
+        weights16: [__m256i; CHANNELS],
         range: __m256i,
         range_magic: __m256i,
         psi: __m256i,
+        /// `−(ψ + 1)`: a lane is in range iff `v > floor`.
+        floor: __m256i,
+        red_moduli: [__m256i; MAX_REDUNDANT],
+        red_magic: [__m256i; MAX_REDUNDANT],
+        red_offset: [__m256i; MAX_REDUNDANT],
     }
 
     // mirage-lint: region(int_kernel)
     impl Consts {
         #[inline]
         #[target_feature(enable = "avx2")]
-        fn load(lanes: &Crt3Lanes) -> Self {
-            let mut k = Consts {
-                moduli: [_mm256_setzero_si256(); CHANNELS],
-                magic: [_mm256_setzero_si256(); CHANNELS],
-                weights: [_mm256_setzero_si256(); CHANNELS],
-                range: _mm256_set1_epi32(lanes.range as i32),
-                range_magic: _mm256_set1_epi32(lanes.range_magic as i32),
-                psi: _mm256_set1_epi32(lanes.psi as i32),
-            };
-            for c in 0..CHANNELS {
-                k.moduli[c] = _mm256_set1_epi32(lanes.moduli[c] as i32);
-                k.magic[c] = _mm256_set1_epi32(lanes.magic[c] as i32);
-                k.weights[c] = _mm256_set1_epi32(lanes.weights[c] as i32);
+        fn load(lanes: &Crt3Lanes, red: &Redundant) -> Self {
+            let set = |v: u32| _mm256_set1_epi32(v as i32);
+            Consts {
+                moduli: lanes.moduli.map(set),
+                magic: lanes.magic.map(set),
+                weights: lanes.weights.map(set),
+                // Only read in the fused mode, where wᵢ ≤ i16::MAX.
+                weights16: lanes.weights.map(|w| _mm256_set1_epi16(w as i16)),
+                range: set(lanes.range),
+                range_magic: set(lanes.range_magic),
+                psi: set(lanes.psi),
+                floor: _mm256_set1_epi32(-(lanes.psi as i32) - 1),
+                red_moduli: red.moduli.map(set),
+                red_magic: red.magic.map(set),
+                red_offset: red.offset.map(set),
             }
-            k
-        }
-    }
-
-    /// [`CheckedLanes`]' redundant-channel constants, in registers.
-    struct CheckConsts {
-        /// `−(ψ + 1)`: a lane is in range iff `v > floor`.
-        floor: __m256i,
-        moduli: [__m256i; MAX_REDUNDANT],
-        magic: [__m256i; MAX_REDUNDANT],
-        offset: [__m256i; MAX_REDUNDANT],
-    }
-
-    impl CheckConsts {
-        #[inline]
-        #[target_feature(enable = "avx2")]
-        fn load(lanes: &CheckedLanes) -> Self {
-            let mut k = CheckConsts {
-                floor: _mm256_set1_epi32(-(lanes.base.psi as i32) - 1),
-                moduli: [_mm256_setzero_si256(); MAX_REDUNDANT],
-                magic: [_mm256_setzero_si256(); MAX_REDUNDANT],
-                offset: [_mm256_setzero_si256(); MAX_REDUNDANT],
-            };
-            for r in 0..MAX_REDUNDANT {
-                k.moduli[r] = _mm256_set1_epi32(lanes.moduli[r] as i32);
-                k.magic[r] = _mm256_set1_epi32(lanes.magic[r] as i32);
-                k.offset[r] = _mm256_set1_epi32(lanes.offset[r] as i32);
-            }
-            k
         }
     }
 
@@ -505,267 +496,171 @@ mod x86 {
         _mm256_min_epu32(r, _mm256_sub_epi32(r, m))
     }
 
-    /// Fig. 2 step 7 for 8 columns: per-channel reduction, the fused
-    /// small-range CRT, and the signed adjust — `i32` lanes out.
+    /// Fig. 2 step 7 for 8 columns from the base channels' group sums
+    /// (plus deltas when `FAULTY`): the CRT folded into the widening
+    /// (`FUSED`) or reduced channel by channel, one reduction mod `M`,
+    /// and the signed adjust — `i32` lanes out.
     #[inline]
     #[target_feature(enable = "avx2")]
-    fn crt8(k: &Consts, dots: [__m256i; CHANNELS]) -> __m256i {
+    fn crt8<const FUSED: bool, const FAULTY: bool>(
+        k: &Consts,
+        sums: &[__m256i; MAX_CHANNELS],
+        deltas: &[__m256i; MAX_CHANNELS],
+    ) -> __m256i {
         let mut s = _mm256_setzero_si256();
-        for (c, &d) in dots.iter().enumerate() {
-            let r = rem8(d, k.moduli[c], k.magic[c]);
-            s = _mm256_add_epi32(s, _mm256_mullo_epi32(r, k.weights[c]));
+        for c in 0..CHANNELS {
+            if FUSED {
+                // dᵢ · wᵢ per column: each column's two i16 halves times
+                // the i16 weight, added into its own i32 lane.
+                s = _mm256_add_epi32(s, _mm256_madd_epi16(sums[c], k.weights16[c]));
+                if FAULTY {
+                    s = _mm256_add_epi32(s, _mm256_mullo_epi32(deltas[c], k.weights[c]));
+                }
+            } else {
+                let d = if FAULTY {
+                    _mm256_add_epi32(sums[c], deltas[c])
+                } else {
+                    sums[c]
+                };
+                let r = rem8(d, k.moduli[c], k.magic[c]);
+                s = _mm256_add_epi32(s, _mm256_mullo_epi32(r, k.weights[c]));
+            }
         }
         let v = rem8(s, k.range, k.range_magic);
         let negative = _mm256_cmpgt_epi32(v, k.psi);
         _mm256_sub_epi32(v, _mm256_and_si256(negative, k.range))
     }
 
-    /// The consistency check of [`CheckedLanes`] for the first `R`
-    /// redundant channels: all-ones in every lane where `v < −ψ` or some
-    /// redundant dot disagrees with `v` (see the module docs).
+    /// The consistency check of [`super::CheckedLanes`] for `R`
+    /// redundant channels: all-ones in every lane where `v < −ψ` or
+    /// some redundant dot (raw, deltas added) disagrees with `v` (see
+    /// the module docs).
     #[inline]
     #[target_feature(enable = "avx2")]
-    fn inconsistent8<const R: usize>(
-        k: &CheckConsts,
-        v: __m256i,
-        redundant: &[__m256i; R],
-    ) -> __m256i {
+    fn inconsistent8<const R: usize>(k: &Consts, v: __m256i, dots: &[__m256i; R]) -> __m256i {
         let mut good = _mm256_cmpgt_epi32(v, k.floor);
-        for (r, &d) in redundant.iter().enumerate() {
-            let want = rem8(_mm256_add_epi32(v, k.offset[r]), k.moduli[r], k.magic[r]);
-            let got = rem8(d, k.moduli[r], k.magic[r]);
+        for (r, &d) in dots.iter().enumerate() {
+            let (m, magic) = (k.red_moduli[r], k.red_magic[r]);
+            let want = rem8(_mm256_add_epi32(v, k.red_offset[r]), m, magic);
+            let got = rem8(d, m, magic);
             good = _mm256_and_si256(good, _mm256_cmpeq_epi32(want, got));
         }
         _mm256_andnot_si256(good, _mm256_set1_epi32(-1))
     }
-
-    /// One channel, 8 columns: `vpmaddwd` dots plus a horizontal-add
-    /// tree folding the 8 partial vectors into one `[dot0..dot7]`
-    /// vector, all arithmetic wrapping mod 2³² (≡ exact `u32` under the
-    /// tier bound; see the module docs).
-    ///
-    /// # Safety
-    ///
-    /// AVX2 must be available; `a[a_off..a_off + G]` and
-    /// `b[b_base + c * stride ..][..G]` for `c < 8` must be in bounds;
-    /// `G` must be a positive multiple of 16.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn dots8<const G: usize>(
-        a: &[u16],
-        a_off: usize,
-        b: &[u16],
-        b_base: usize,
-        stride: usize,
-    ) -> __m256i {
-        let mut v = [_mm256_setzero_si256(); BLOCK];
-        for t in (0..G).step_by(16) {
-            debug_assert!(a_off + t + 16 <= a.len());
-            // SAFETY: caller guarantees `a_off + G <= a.len()`.
-            let av = unsafe { _mm256_loadu_si256(a.as_ptr().add(a_off + t).cast()) };
-            for (c, slot) in v.iter_mut().enumerate() {
-                let off = b_base + c * stride + t;
-                debug_assert!(off + 16 <= b.len());
-                // SAFETY: caller guarantees the column group is in
-                // bounds (debug-checked above).
-                let bv = unsafe { _mm256_loadu_si256(b.as_ptr().add(off).cast()) };
-                *slot = _mm256_add_epi32(*slot, _mm256_madd_epi16(av, bv));
-            }
-        }
-        // hadd tree: [v0(0..3) v1(0..3) v2(0..3) v3(0..3) | v0(4..7) ..]
-        let a01 = _mm256_hadd_epi32(v[0], v[1]);
-        let a23 = _mm256_hadd_epi32(v[2], v[3]);
-        let a45 = _mm256_hadd_epi32(v[4], v[5]);
-        let a67 = _mm256_hadd_epi32(v[6], v[7]);
-        let b0123 = _mm256_hadd_epi32(a01, a23);
-        let b4567 = _mm256_hadd_epi32(a45, a67);
-        _mm256_add_epi32(
-            _mm256_permute2x128_si256::<0x20>(b0123, b4567),
-            _mm256_permute2x128_si256::<0x31>(b0123, b4567),
-        )
-    }
     // mirage-lint: end_region(int_kernel)
 
-    /// The fused block behind [`Crt3Lanes::block8`]: per group, the
-    /// three channel dots, the integer CRT, and the scale
-    /// recombination, with the 8 column accumulators held in one
-    /// register across all groups.
+    /// The block behind [`Crt3Lanes::block`] (`R = 0`) and
+    /// [`super::CheckedLanes::block`]: per group, the `3 + R` channel
+    /// sums, the planned deltas (when `FAULTY`), the base CRT, the lane
+    /// consistency check (when `R > 0`) and the scale recombination,
+    /// with the 8 column accumulators held in one register across all
+    /// groups. Returns the inconsistent-lane mask (0 when `R = 0`).
     ///
     /// # Safety
     ///
-    /// AVX2 must be available, `G` must be a positive multiple of 16,
-    /// and the bounds checked by [`Crt3Lanes::block8`] must hold.
-    #[allow(clippy::too_many_arguments)]
+    /// AVX2 must be available, `lanes` must come from
+    /// [`Crt3Lanes::for_channels`] over every channel of `ops` (so
+    /// `FUSED` may equal `lanes.fused` only), `ops` must hold `3 + R`
+    /// planes per side passing [`Crt3Lanes::fits`], and `ops.deltas`
+    /// must hold `groups · (3 + R) · 8` entries when `FAULTY`.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn block8_avx2<const G: usize>(
+    pub(super) unsafe fn block_avx2<const R: usize, const FUSED: bool, const FAULTY: bool>(
         lanes: &Crt3Lanes,
-        a: [&[u16]; CHANNELS],
-        a_off: usize,
-        b: [&[u16]; CHANNELS],
-        b_base: usize,
-        stride: usize,
-        pa2: &[f64],
-        pb2: &[f64],
-        out: &mut [f32],
-    ) {
-        let k = Consts::load(lanes);
-        let mut acc = _mm256_setzero_ps();
-        for (gi, &pa) in pa2.iter().enumerate() {
-            let off = gi * G;
-            // SAFETY: the caller verified every channel's row span and
-            // column-block span, which contain this group.
-            let dots = unsafe {
-                [
-                    dots8::<G>(a[0], a_off + off, b[0], b_base + off, stride),
-                    dots8::<G>(a[1], a_off + off, b[1], b_base + off, stride),
-                    dots8::<G>(a[2], a_off + off, b[2], b_base + off, stride),
-                ]
-            };
-            let ints = crt8(&k, dots);
-            debug_assert!(gi * BLOCK + BLOCK <= pb2.len());
-            // SAFETY: `pb2` holds at least `groups * 8` doubles and
-            // `gi < groups`.
-            acc = unsafe { recombine8(acc, ints, pa, pb2.as_ptr().add(gi * BLOCK)) };
-        }
-        // SAFETY: the caller verified `out.len() == 8`.
-        unsafe { _mm256_storeu_ps(out.as_mut_ptr(), acc) };
-    }
-
-    /// Fig. 2 step 8, exponent recombination: the scalar kernel's
-    /// `(int as f64) * (pa2 * pb2)` chain, rounded to nearest-even by
-    /// `vcvtpd2ps` exactly like `as f32`, added to `acc`.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 must be available and `pb` must point at 8 readable doubles
-    /// (the group's column scales).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn recombine8(acc: __m256, ints: __m256i, pa: f64, pb: *const f64) -> __m256 {
-        let pa = _mm256_set1_pd(pa);
-        // SAFETY: the caller guarantees 8 doubles at `pb`.
-        let (pb_lo, pb_hi) = unsafe { (_mm256_loadu_pd(pb), _mm256_loadu_pd(pb.add(4))) };
-        let lo = _mm256_cvtpd_ps(_mm256_mul_pd(
-            _mm256_cvtepi32_pd(_mm256_castsi256_si128(ints)),
-            _mm256_mul_pd(pa, pb_lo),
-        ));
-        let hi = _mm256_cvtpd_ps(_mm256_mul_pd(
-            _mm256_cvtepi32_pd(_mm256_extracti128_si256::<1>(ints)),
-            _mm256_mul_pd(pa, pb_hi),
-        ));
-        _mm256_add_ps(acc, _mm256_set_m128(hi, lo))
-    }
-
-    /// The checked block behind [`CheckedLanes::block8`]: per group, the
-    /// `3 + R` channel dots, the planned deltas (when `FAULTY`), the
-    /// base CRT, the lane consistency check and the scale
-    /// recombination. Returns the inconsistent-lane mask.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 must be available, `G` must be a positive multiple of 16,
-    /// `R` must equal `lanes.redundant`, and the bounds checked by
-    /// [`CheckedLanes::block8`] must hold (`deltas` included when
-    /// `FAULTY`).
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn checked_block8_avx2<const G: usize, const R: usize, const FAULTY: bool>(
-        lanes: &CheckedLanes,
-        a: &[&[u16]],
-        a_off: usize,
-        b: &[&[u16]],
-        b_base: usize,
-        stride: usize,
-        pa2: &[f64],
-        pb2: &[f64],
-        deltas: &[u32],
-        out: &mut [f32],
+        red: &Redundant,
+        ops: &Block<'_, '_>,
+        out: &mut [f32; PANEL],
     ) -> u32 {
-        let k = Consts::load(&lanes.base);
-        let check = CheckConsts::load(lanes);
         let channels = CHANNELS + R;
+        let k = Consts::load(lanes, red);
+        let ones = _mm256_set1_epi16(1);
+        let exp_bias = _mm256_set1_epi64x(1023);
+        let (quads, stride) = (lanes.quads, lanes.quads * QUAD);
+        let mut a_ptr = [core::ptr::null::<u8>(); MAX_CHANNELS];
+        let mut b_ptr = a_ptr;
+        for c in 0..channels {
+            (a_ptr[c], b_ptr[c]) = (ops.a[c].as_ptr(), ops.b[c].as_ptr());
+        }
         let mut acc = _mm256_setzero_ps();
         let mut bad = _mm256_setzero_si256();
-        for (gi, &pa) in pa2.iter().enumerate() {
-            let off = gi * G;
-            let mut base = [_mm256_setzero_si256(); CHANNELS];
-            let mut redundant = [_mm256_setzero_si256(); R];
-            for (c, d) in base.iter_mut().chain(redundant.iter_mut()).enumerate() {
-                // SAFETY: the caller verified every channel's row span
-                // and column-block span, which contain this group.
-                *d = unsafe { dots8::<G>(a[c], a_off + off, b[c], b_base + off, stride) };
-            }
-            if FAULTY {
-                let table = &deltas[gi * channels * BLOCK..(gi + 1) * channels * BLOCK];
-                for (c, d) in base.iter_mut().chain(redundant.iter_mut()).enumerate() {
-                    // SAFETY: `table` holds `channels` rows of 8 `u32`.
-                    let delta = unsafe { _mm256_loadu_si256(table.as_ptr().add(c * BLOCK).cast()) };
-                    *d = _mm256_add_epi32(*d, delta);
+        for (gi, &ae) in ops.a_exps.iter().enumerate() {
+            let (a_g, b_g) = (gi * stride, gi * stride * PANEL);
+            let mut sums = [_mm256_setzero_si256(); MAX_CHANNELS];
+            // Exact channel dots (module docs): i16 group sums when
+            // `FUSED`, else i32 sums widened every quad.
+            // mirage-lint: region(int_kernel)
+            for q in 0..quads {
+                for c in 0..channels {
+                    // SAFETY: row group `gi` spans `stride` lanes of
+                    // channel `c` inside `a` and panel group `gi` spans
+                    // `stride · 8` inside `b` (`fits`), so quad `q` is 4
+                    // readable bytes of `a` and 32 of `b`.
+                    let (quad, bv) = unsafe {
+                        (
+                            a_ptr[c].add(a_g + q * QUAD).cast::<i32>().read_unaligned(),
+                            _mm256_loadu_si256(b_ptr[c].add(b_g + q * QUAD * PANEL).cast()),
+                        )
+                    };
+                    let pairs = _mm256_maddubs_epi16(_mm256_set1_epi32(quad), bv);
+                    sums[c] = if FUSED {
+                        _mm256_add_epi16(sums[c], pairs)
+                    } else {
+                        _mm256_add_epi32(sums[c], _mm256_madd_epi16(pairs, ones))
+                    };
                 }
             }
-            let ints = crt8(&k, base);
-            bad = _mm256_or_si256(bad, inconsistent8::<R>(&check, ints, &redundant));
-            debug_assert!(gi * BLOCK + BLOCK <= pb2.len());
-            // SAFETY: `pb2` holds at least `groups * 8` doubles and
-            // `gi < groups`.
-            acc = unsafe { recombine8(acc, ints, pa, pb2.as_ptr().add(gi * BLOCK)) };
+            let mut deltas = [_mm256_setzero_si256(); MAX_CHANNELS];
+            if FAULTY {
+                let table = gi * channels * PANEL;
+                for (c, d) in deltas.iter_mut().enumerate().take(channels) {
+                    debug_assert!(table + (c + 1) * PANEL <= ops.deltas.len());
+                    // SAFETY: `FAULTY` blocks carry `groups · channels`
+                    // rows of 8 `u32` deltas (the caller's contract).
+                    *d = unsafe {
+                        _mm256_loadu_si256(ops.deltas.as_ptr().add(table + c * PANEL).cast())
+                    };
+                }
+            }
+            let ints = crt8::<FUSED, FAULTY>(&k, &sums, &deltas);
+            if R > 0 {
+                let mut dots = [_mm256_setzero_si256(); R];
+                for (r, d) in dots.iter_mut().enumerate() {
+                    let c = CHANNELS + r;
+                    *d = if FUSED {
+                        _mm256_madd_epi16(sums[c], ones)
+                    } else {
+                        sums[c]
+                    };
+                    if FAULTY {
+                        *d = _mm256_add_epi32(*d, deltas[c]);
+                    }
+                }
+                bad = _mm256_or_si256(bad, inconsistent8::<R>(&k, ints, &dots));
+            }
+            // mirage-lint: end_region(int_kernel)
+            // Fig. 2 step 8, exponent recombination: 2^ae and 2^be per
+            // column from the exponent bits (normal range).
+            // SAFETY: the panel's group `gi` has 8 exponents (`fits`).
+            let e = unsafe { _mm256_loadu_si256(ops.b_exps.as_ptr().add(gi * PANEL).cast()) };
+            let pow2_lanes = |e: __m128i| {
+                _mm256_castsi256_pd(_mm256_slli_epi64::<52>(_mm256_add_epi64(
+                    _mm256_cvtepi32_epi64(e),
+                    exp_bias,
+                )))
+            };
+            let pa = _mm256_castsi256_pd(_mm256_set1_epi64x((i64::from(ae) + 1023) << 52));
+            let lo = _mm256_cvtpd_ps(_mm256_mul_pd(
+                _mm256_cvtepi32_pd(_mm256_castsi256_si128(ints)),
+                _mm256_mul_pd(pa, pow2_lanes(_mm256_castsi256_si128(e))),
+            ));
+            let hi = _mm256_cvtpd_ps(_mm256_mul_pd(
+                _mm256_cvtepi32_pd(_mm256_extracti128_si256::<1>(ints)),
+                _mm256_mul_pd(pa, pow2_lanes(_mm256_extracti128_si256::<1>(e))),
+            ));
+            acc = _mm256_add_ps(acc, _mm256_set_m128(hi, lo));
         }
-        // SAFETY: the caller verified `out.len() == 8`.
+        // SAFETY: `out` is exactly 8 `f32`s.
         unsafe { _mm256_storeu_ps(out.as_mut_ptr(), acc) };
         _mm256_movemask_ps(_mm256_castsi256_ps(bad)) as u32
-    }
-
-    /// [`crt8`] plus [`inconsistent8`] over plain arrays (the exactness
-    /// tests' entry).
-    ///
-    /// # Safety
-    ///
-    /// AVX2 must be available and `dots.len() == lanes.channels()`.
-    #[cfg(test)]
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn check8_avx2_array(
-        lanes: &CheckedLanes,
-        dots: &[[u32; BLOCK]],
-    ) -> ([i32; BLOCK], u32) {
-        let mut v = [_mm256_setzero_si256(); CHANNELS + MAX_REDUNDANT];
-        for (v, d) in v.iter_mut().zip(dots) {
-            // SAFETY: each row is exactly 8 × 4 bytes.
-            *v = unsafe { _mm256_loadu_si256(d.as_ptr().cast()) };
-        }
-        let ints = crt8(&Consts::load(&lanes.base), [v[0], v[1], v[2]]);
-        let check = CheckConsts::load(lanes);
-        let bad = if lanes.redundant == 1 {
-            inconsistent8::<1>(&check, ints, &[v[3]])
-        } else {
-            inconsistent8::<2>(&check, ints, &[v[3], v[4]])
-        };
-        let mut out = [0i32; BLOCK];
-        // SAFETY: `out` is exactly 8 × 4 bytes.
-        unsafe { _mm256_storeu_si256(out.as_mut_ptr().cast(), ints) };
-        (out, _mm256_movemask_ps(_mm256_castsi256_ps(bad)) as u32)
-    }
-
-    /// [`crt8`] over plain arrays (the exactness tests' entry).
-    ///
-    /// # Safety
-    ///
-    /// AVX2 must be available.
-    #[cfg(test)]
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn crt8_avx2_array(
-        lanes: &Crt3Lanes,
-        dots: &[[u32; BLOCK]; CHANNELS],
-    ) -> [i32; BLOCK] {
-        let mut vectors = [_mm256_setzero_si256(); CHANNELS];
-        for (v, d) in vectors.iter_mut().zip(dots) {
-            // SAFETY: each row is exactly 8 × 4 bytes.
-            *v = unsafe { _mm256_loadu_si256(d.as_ptr().cast()) };
-        }
-        let ints = crt8(&Consts::load(lanes), vectors);
-        let mut out = [0i32; BLOCK];
-        // SAFETY: `out` is exactly 8 × 4 bytes.
-        unsafe { _mm256_storeu_si256(out.as_mut_ptr().cast(), ints) };
-        out
     }
 }
 
@@ -773,207 +668,178 @@ mod x86 {
 mod tests {
     use super::*;
     use crate::convert::{CrtConverter, ReverseConverter};
-    use crate::ModuliSet;
+    use crate::{ModuliSet, RedundantRns};
 
-    fn residues(n: usize, m: u64, seed: u64) -> Vec<u16> {
-        let mut state = seed | 1;
-        (0..n)
-            .map(|_| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                ((state >> 33) % m) as u16
-            })
-            .collect()
+    /// `2^e` for a normal-range exponent (the scalar kernel's `pow2`).
+    fn pow2(e: i32) -> f64 {
+        f64::from_bits(((e + 1023) as u64) << 52)
     }
 
-    fn scalar_dot(a: &[u16], a_off: usize, b: &[u16], b_off: usize, g: usize) -> u32 {
-        let mut acc = 0u32;
-        for t in 0..g {
-            acc = acc.wrapping_add(u32::from(a[a_off + t]).wrapping_mul(u32::from(b[b_off + t])));
+    /// One block's inputs before packing: per channel, one `A` row of
+    /// `groups · g` residues and 8 `B` columns of as many.
+    struct Case {
+        g: usize,
+        a: Vec<Vec<u8>>,
+        b: Vec<[Vec<u8>; PANEL]>,
+        a_exps: Vec<i32>,
+        b_exps: Vec<i32>,
+    }
+
+    impl Case {
+        /// A one-group case with every residue given lane by lane.
+        fn filled(g: usize, channels: usize, a: impl Fn(usize, usize) -> u8) -> Self {
+            Case {
+                g,
+                a: (0..channels)
+                    .map(|c| (0..g).map(|t| a(c, t)).collect())
+                    .collect(),
+                b: (0..channels)
+                    .map(|_| std::array::from_fn(|_| vec![0; g]))
+                    .collect(),
+                a_exps: vec![0],
+                b_exps: vec![0; PANEL],
+            }
         }
-        acc
+
+        fn groups(&self) -> usize {
+            self.a_exps.len()
+        }
+
+        /// The operands in the panel geometry (see [`crate::planes`]).
+        fn packed(&self) -> Packed {
+            let (g, groups) = (self.g, self.groups());
+            let stride = g.div_ceil(QUAD) * QUAD;
+            let a = self
+                .a
+                .iter()
+                .map(|row| {
+                    let mut lanes = vec![0u8; groups * stride];
+                    for (gi, group) in row.chunks(g).enumerate() {
+                        lanes[gi * stride..gi * stride + g].copy_from_slice(group);
+                    }
+                    lanes
+                })
+                .collect();
+            let b = self
+                .b
+                .iter()
+                .map(|cols| {
+                    let mut lanes = vec![0u8; groups * stride * PANEL];
+                    for (col, column) in cols.iter().enumerate() {
+                        for (x, &r) in column.iter().enumerate() {
+                            let (gi, t) = (x / g, x % g);
+                            let q = t / QUAD;
+                            lanes[(gi * stride + q * QUAD) * PANEL + col * QUAD + t % QUAD] = r;
+                        }
+                    }
+                    lanes
+                })
+                .collect();
+            Packed {
+                a,
+                b,
+                a_exps: self.a_exps.clone(),
+                b_exps: self.b_exps.clone(),
+            }
+        }
+
+        /// The raw dot of channel `c`, group `gi`, column `col`.
+        fn dot(&self, c: usize, gi: usize, col: usize) -> u64 {
+            let span = gi * self.g..(gi + 1) * self.g;
+            self.a[c][span.clone()]
+                .iter()
+                .zip(&self.b[c][col][span])
+                .map(|(&x, &w)| u64::from(x) * u64::from(w))
+                .sum()
+        }
+
+        /// The scalar pipeline: per column, each group's channel
+        /// residues (deltas added) through `decode`, recombined in
+        /// ascending group order.
+        fn scalar(
+            &self,
+            moduli: &[u64],
+            deltas: Option<&[u32]>,
+            mut decode: impl FnMut(&[u64]) -> i128,
+        ) -> [f32; PANEL] {
+            let channels = moduli.len();
+            std::array::from_fn(|col| {
+                let mut acc = 0.0f32;
+                for gi in 0..self.groups() {
+                    let residues: Vec<u64> = (0..channels)
+                        .map(|c| {
+                            let delta = deltas
+                                .map_or(0, |d| u64::from(d[(gi * channels + c) * PANEL + col]));
+                            (self.dot(c, gi, col) + delta) % moduli[c]
+                        })
+                        .collect();
+                    let integer = decode(&residues) as f64;
+                    let scale = pow2(self.a_exps[gi]) * pow2(self.b_exps[gi * PANEL + col]);
+                    acc += (integer * scale) as f32;
+                }
+                acc
+            })
+        }
+
+        fn run(&self, lanes: &Crt3Lanes) -> [f32; PANEL] {
+            self.packed().run(lanes)
+        }
+
+        fn run_checked(&self, lanes: &CheckedLanes, deltas: Option<&[u32]>) -> ([f32; PANEL], u32) {
+            self.packed().run_checked(lanes, deltas)
+        }
     }
 
-    /// The lanes for `moduli` at group size `g`, plus their converter.
+    /// One block's operands in the panel geometry, with their scale
+    /// exponents.
+    struct Packed {
+        a: Vec<Vec<u8>>,
+        b: Vec<Vec<u8>>,
+        a_exps: Vec<i32>,
+        b_exps: Vec<i32>,
+    }
+
+    impl Packed {
+        /// The unprotected block over the first three channels.
+        fn run(&self, lanes: &Crt3Lanes) -> [f32; PANEL] {
+            let (a, b) = (&self.a, &self.b);
+            let mut out = [f32::NAN; PANEL];
+            assert!(lanes.block(
+                [&a[0], &a[1], &a[2]],
+                [&b[0], &b[1], &b[2]],
+                &self.a_exps,
+                &self.b_exps,
+                &mut out
+            ));
+            out
+        }
+
+        /// The checked block over every channel.
+        fn run_checked(&self, lanes: &CheckedLanes, deltas: Option<&[u32]>) -> ([f32; PANEL], u32) {
+            let a: Vec<&[u8]> = self.a.iter().map(|p| &p[..]).collect();
+            let b: Vec<&[u8]> = self.b.iter().map(|p| &p[..]).collect();
+            let mut out = [f32::NAN; PANEL];
+            let mask = lanes
+                .block(&a, &b, &self.a_exps, &self.b_exps, deltas, &mut out)
+                .expect("the block's shapes are valid");
+            (out, mask)
+        }
+    }
+
+    fn bits(v: [f32; PANEL]) -> [u32; PANEL] {
+        v.map(f32::to_bits)
+    }
+
+    fn values(moduli: &[u64]) -> Vec<Modulus> {
+        moduli.iter().map(|&m| Modulus::new(m).unwrap()).collect()
+    }
+
+    /// The unprotected lanes for `moduli` at group size `g`, plus their
+    /// converter.
     fn lanes(moduli: &[u64], g: usize) -> (Option<Crt3Lanes>, CrtConverter) {
         let conv = CrtConverter::new(&ModuliSet::new(moduli).unwrap());
         let crt = conv.small_constants().expect("small dynamic range");
         (Crt3Lanes::new(conv.set().moduli(), &crt, g), conv)
-    }
-
-    #[test]
-    fn crt_lanes_match_to_signed_trusted_on_every_residue_triple() {
-        for (moduli, g) in [([31u64, 32, 33], 16usize), ([63, 64, 65], 32)] {
-            let (Some(lanes), conv) = lanes(&moduli, g) else {
-                assert!(!avx2_available(), "{moduli:?} must admit the fused lanes");
-                continue;
-            };
-            let triples = moduli.iter().product::<u64>();
-            let mut dots = [[0u32; BLOCK]; CHANNELS];
-            let mut want = [0i32; BLOCK];
-            for t in 0..triples {
-                let lane = (t % BLOCK as u64) as usize;
-                let r = [
-                    t % moduli[0],
-                    (t / moduli[0]) % moduli[1],
-                    t / (moduli[0] * moduli[1]),
-                ];
-                for c in 0..CHANNELS {
-                    dots[c][lane] = r[c] as u32;
-                }
-                want[lane] = conv.to_signed_trusted(&r) as i32;
-                if lane == BLOCK - 1 || t == triples - 1 {
-                    let got = lanes.crt8(&dots);
-                    let used = lane + 1;
-                    assert_eq!(
-                        got[..used],
-                        want[..used],
-                        "{moduli:?} triples ending at {t}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn crt_lanes_reduce_unreduced_dots_up_to_the_u32_limit() {
-        // Raw channel dots at and around the U16-tier maximum
-        // `(m − 1)² · g`, plus the u32 extremes the Barrett step must
-        // also cover.
-        for (moduli, g) in [
-            ([31u64, 32, 33], 16usize),
-            ([31, 32, 33], 32),
-            ([63, 64, 65], 32),
-        ] {
-            let (Some(lanes), conv) = lanes(&moduli, g) else {
-                continue;
-            };
-            let mut probes = vec![0u64, 1, u64::from(u32::MAX), u64::from(u32::MAX) - 1];
-            for &m in &moduli {
-                let tier_max = (m - 1) * (m - 1) * g as u64;
-                for d in 0..3 {
-                    probes.extend([tier_max - d, m * (tier_max / m) + d, m - d]);
-                }
-            }
-            probes.retain(|&p| p <= u64::from(u32::MAX));
-            for chunk in probes.chunks(BLOCK) {
-                for rot in 0..CHANNELS {
-                    let mut dots = [[0u32; BLOCK]; CHANNELS];
-                    let mut want = [0i32; BLOCK];
-                    for lane in 0..chunk.len() {
-                        // Rotate which channel gets which probe so every
-                        // modulus sees every value.
-                        let d: [u64; CHANNELS] =
-                            [0, 1, 2].map(|c| chunk[(lane + c + rot) % chunk.len()]);
-                        let r: Vec<u64> = d.iter().zip(&moduli).map(|(&d, &m)| d % m).collect();
-                        for c in 0..CHANNELS {
-                            dots[c][lane] = d[c] as u32;
-                        }
-                        want[lane] = conv.to_signed_trusted(&r) as i32;
-                    }
-                    let got = lanes.crt8(&dots);
-                    assert_eq!(got[..chunk.len()], want[..chunk.len()], "{moduli:?} g={g}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fused_block_matches_the_scalar_pipeline() {
-        for (moduli, redundant, g, groups) in [
-            ([31u64, 32, 33], [37u64, 41], 16usize, 5usize),
-            ([31, 32, 33], [37, 41], 32, 3),
-            ([63, 64, 65], [67, 71], 32, 2),
-        ] {
-            let (Some(lanes), conv) = lanes(&moduli, g) else {
-                continue;
-            };
-            let stride = groups * g + g; // column groups interleaved with padding
-            let a: Vec<Vec<u16>> = (0..CHANNELS)
-                .map(|c| residues(groups * g * 2, moduli[c], c as u64 + 1))
-                .collect();
-            let b: Vec<Vec<u16>> = (0..CHANNELS)
-                .map(|c| residues(stride * BLOCK, moduli[c], c as u64 + 7))
-                .collect();
-            let ar = [&a[0][..], &a[1], &a[2]];
-            let br = [&b[0][..], &b[1], &b[2]];
-            // Scales spanning overflow, subnormals and exact ties.
-            let pa2: Vec<f64> = (0..groups)
-                .map(|gi| 2f64.powi(gi as i32 * 97 - 160))
-                .collect();
-            let pb2: Vec<f64> = (0..groups * BLOCK)
-                .map(|i| 2f64.powi((i as i32 % 11) * 13 - 40))
-                .collect();
-            let a_off = groups * g; // the second row
-            let mut got = [0.0f32; BLOCK];
-            assert!(
-                lanes.block8::<16>(ar, a_off, br, 0, stride, &pa2, &pb2, &mut got) == (g == 16)
-            );
-            if g == 32 {
-                assert!(lanes.block8::<32>(ar, a_off, br, 0, stride, &pa2, &pb2, &mut got));
-            }
-            // The checked lanes, fault-free: planes of signed mantissas
-            // reduced into all five channels are a codeword, so the mask
-            // stays clear and the sums are bit-identical to the base
-            // lanes over the same three base planes.
-            if let (Some(checked), _, _) = checked(&moduli, &redundant, g) {
-                let mantissas = |n: usize, seed: u64| -> Vec<i64> {
-                    residues(n, 31, seed)
-                        .iter()
-                        .map(|&x| x as i64 - 15)
-                        .collect()
-                };
-                let plane = |values: &[i64], m: u64| -> Vec<u16> {
-                    values
-                        .iter()
-                        .map(|&v| v.rem_euclid(m as i64) as u16)
-                        .collect()
-                };
-                let (ma, mb) = (mantissas(groups * g * 2, 3), mantissas(stride * BLOCK, 9));
-                let full: Vec<u64> = moduli.iter().chain(&redundant).copied().collect();
-                let ca: Vec<Vec<u16>> = full.iter().map(|&m| plane(&ma, m)).collect();
-                let cb: Vec<Vec<u16>> = full.iter().map(|&m| plane(&mb, m)).collect();
-                let ca: Vec<&[u16]> = ca.iter().map(|p| &p[..]).collect();
-                let cb: Vec<&[u16]> = cb.iter().map(|p| &p[..]).collect();
-                let (base_a, base_b) = ([ca[0], ca[1], ca[2]], [cb[0], cb[1], cb[2]]);
-                let (mut want, mut sums) = ([0.0f32; BLOCK], [0.0f32; BLOCK]);
-                let mask = if g == 16 {
-                    assert!(
-                        lanes.block8::<16>(base_a, a_off, base_b, 0, stride, &pa2, &pb2, &mut want)
-                    );
-                    checked.block8::<16>(&ca, a_off, &cb, 0, stride, &pa2, &pb2, None, &mut sums)
-                } else {
-                    assert!(
-                        lanes.block8::<32>(base_a, a_off, base_b, 0, stride, &pa2, &pb2, &mut want)
-                    );
-                    checked.block8::<32>(&ca, a_off, &cb, 0, stride, &pa2, &pb2, None, &mut sums)
-                };
-                assert_eq!(mask, Some(0), "{moduli:?} g={g}: clean data must pass");
-                assert_eq!(
-                    sums.map(f32::to_bits),
-                    want.map(f32::to_bits),
-                    "{moduli:?} g={g}"
-                );
-            }
-            for (col, &lane) in got.iter().enumerate() {
-                let mut want = 0.0f32;
-                for (gi, &pa) in pa2.iter().enumerate() {
-                    let r: Vec<u64> = (0..CHANNELS)
-                        .map(|c| {
-                            let d =
-                                scalar_dot(&a[c], a_off + gi * g, &b[c], col * stride + gi * g, g);
-                            u64::from(d) % moduli[c]
-                        })
-                        .collect();
-                    let integer = conv.to_signed_trusted(&r) as f64;
-                    want += (integer * (pa * pb2[gi * BLOCK + col])) as f32;
-                }
-                assert_eq!(
-                    lane.to_bits(),
-                    want.to_bits(),
-                    "{moduli:?} g={g} column {col}"
-                );
-            }
-        }
     }
 
     /// The checked lanes for `base` plus `redundant`, the base
@@ -982,12 +848,192 @@ mod tests {
         base: &[u64],
         redundant: &[u64],
         g: usize,
-    ) -> (Option<CheckedLanes>, CrtConverter, crate::RedundantRns) {
+    ) -> (Option<CheckedLanes>, CrtConverter, RedundantRns) {
         let conv = CrtConverter::new(&ModuliSet::new(base).unwrap());
-        let rrns = crate::RedundantRns::new(base, redundant).unwrap();
+        let rrns = RedundantRns::new(base, redundant).unwrap();
         let crt = conv.small_constants().expect("small dynamic range");
         let lanes = CheckedLanes::new(rrns.full_set().moduli(), &crt, g);
         (lanes, conv, rrns)
+    }
+
+    /// Runs `check` over residue vectors of `N` channels, 8 lanes per
+    /// block: lane `l` of a one-group block dots the one-hot `A` group
+    /// (1 at k-lane 0 of every channel) against column `l`, whose
+    /// k-lane 0 holds the residues, so every channel dot *is* the given
+    /// residue.
+    fn one_hot_blocks<const N: usize>(
+        vectors: impl Iterator<Item = [u64; N]>,
+        mut check: impl FnMut(&Packed, &[[u64; N]]),
+    ) {
+        let mut packed = Case::filled(16, N, |_, t| u8::from(t == 0)).packed();
+        let mut batch = Vec::with_capacity(PANEL);
+        let mut flush = |packed: &mut Packed, batch: &mut Vec<[u64; N]>| {
+            for col in 0..PANEL {
+                for c in 0..N {
+                    // Column `col`'s k-lane 0 in the panel.
+                    packed.b[c][col * QUAD] = batch.get(col).map_or(0, |r| r[c] as u8);
+                }
+            }
+            check(packed, batch);
+            batch.clear();
+        };
+        for v in vectors {
+            batch.push(v);
+            if batch.len() == PANEL {
+                flush(&mut packed, &mut batch);
+            }
+        }
+        if !batch.is_empty() {
+            flush(&mut packed, &mut batch);
+        }
+    }
+
+    #[test]
+    fn crt_lanes_match_to_signed_trusted_on_every_residue_triple() {
+        // Both modes: {31, 32, 33} folds the weights, {63, 64, 65}
+        // reduces every channel.
+        for (moduli, fused) in [([31u64, 32, 33], true), ([63, 64, 65], false)] {
+            let (Some(lanes), conv) = lanes(&moduli, 16) else {
+                assert!(!avx2_available(), "{moduli:?} must admit the lanes");
+                continue;
+            };
+            assert_eq!(lanes.fused, fused, "{moduli:?}");
+            let triples = (0..moduli.iter().product::<u64>()).map(|t| {
+                [
+                    t % moduli[0],
+                    (t / moduli[0]) % moduli[1],
+                    t / (moduli[0] * moduli[1]),
+                ]
+            });
+            one_hot_blocks(triples, |packed, batch| {
+                let got = packed.run(&lanes);
+                for (col, r) in batch.iter().enumerate() {
+                    let want = conv.to_signed_trusted(r) as f32;
+                    assert_eq!(got[col], want, "{moduli:?} residues {r:?}");
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn all_maximum_residues_are_exact_at_every_admitted_point() {
+        // Residue m − 1 against m − 1 in every lane of every channel,
+        // base and redundant: every raw dot is its maximum g·(m − 1)²,
+        // and since m − 1 ≡ −1 on every channel the vector is the
+        // codeword of g, so the checked lanes must pass it.
+        for (base, redundant) in [([31u64, 32, 33], [37u64, 41]), ([63, 64, 65], [37, 41])] {
+            for g in [16usize, 32] {
+                let full: Vec<u64> = base.iter().chain(&redundant).copied().collect();
+                let mut case = Case::filled(g, full.len(), |c, _| (full[c] - 1) as u8);
+                for (c, cols) in case.b.iter_mut().enumerate() {
+                    cols.iter_mut()
+                        .for_each(|col| col.fill((full[c] - 1) as u8));
+                }
+                let (Some(plain), conv) = lanes(&base, g) else {
+                    assert!(!avx2_available());
+                    continue;
+                };
+                let want = case.scalar(&base, None, |r| conv.to_signed_trusted(r));
+                assert_eq!(want, [g as f32; PANEL], "{base:?} g={g}");
+                assert_eq!(bits(case.run(&plain)), bits(want), "{base:?} g={g}");
+                let (Some(lanes), _, rrns) = checked(&base, &redundant, g) else {
+                    panic!("{base:?} + {redundant:?} g={g} must admit checked lanes");
+                };
+                let (sums, mask) = case.run_checked(&lanes, None);
+                let residues: Vec<u64> = full
+                    .iter()
+                    .enumerate()
+                    .map(|(c, &m)| case.dot(c, 0, 0) % m)
+                    .collect();
+                assert!(rrns.is_consistent(g as i128, &residues));
+                assert_eq!(mask, 0, "{base:?} g={g}");
+                assert_eq!(bits(sums), bits(want), "{base:?} g={g}");
+            }
+        }
+    }
+
+    #[test]
+    fn all_maximum_groups_straddle_the_i16_and_fused_weight_bounds() {
+        // {31, 32, 33}: the weighted bound Σ (g(m−1)² + (m−1))·w < 2³¹
+        // holds up to g = 34 and fails from g = 35. {5, 7, 9}: the i16
+        // group-sum bound 2·quads·8² ≤ i16::MAX holds up to 255 quads
+        // (g = 1020) and fails at 256 (g = 1024). Each side of each
+        // bound, at the all-maximum dot, must equal the scalar CRT.
+        for (moduli, g, fused) in [
+            ([31u64, 32, 33], 34usize, true),
+            ([31, 32, 33], 35, false),
+            ([5, 7, 9], 1020, true),
+            ([5, 7, 9], 1024, false),
+        ] {
+            let (Some(lanes), conv) = lanes(&moduli, g) else {
+                assert!(!avx2_available());
+                continue;
+            };
+            // One lane per column lowered, so the columns differ.
+            let mut case = Case::filled(g, CHANNELS, |c, _| (moduli[c] - 1) as u8);
+            for (c, cols) in case.b.iter_mut().enumerate() {
+                for (col, column) in cols.iter_mut().enumerate() {
+                    column.fill((moduli[c] - 1) as u8);
+                    column[col % g] = (moduli[c] - 1 - (col as u64 % moduli[c])) as u8;
+                }
+            }
+            let want = case.scalar(&moduli, None, |r| conv.to_signed_trusted(r));
+            assert_eq!(bits(case.run(&lanes)), bits(want), "{moduli:?} g={g}");
+            assert_eq!(lanes.fused, fused, "{moduli:?} g={g}");
+        }
+    }
+
+    #[test]
+    fn fused_block_matches_the_scalar_pipeline() {
+        // Pseudo-random residues over several groups, ragged group sizes
+        // (padded quads), and scales spanning overflow, subnormals and
+        // exact ties; fault-free checked lanes over the same base planes
+        // must give the same bits.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |m: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (state >> 33) % m
+        };
+        for (base, redundant, g, groups) in [
+            ([31u64, 32, 33], [37u64, 41], 16usize, 5usize),
+            ([31, 32, 33], [37, 41], 32, 3),
+            ([31, 32, 33], [37, 41], 5, 4),
+            ([31, 32, 33], [37, 41], 34, 2),
+            ([63, 64, 65], [67, 71], 32, 2),
+            ([63, 64, 65], [67, 71], 16, 3),
+        ] {
+            let (Some(plain), conv) = lanes(&base, g) else {
+                continue;
+            };
+            let full: Vec<u64> = base.iter().chain(&redundant).copied().collect();
+            // Codewords: signed mantissas reduced into every channel.
+            let mantissas: Vec<i64> = (0..groups * g * (1 + PANEL))
+                .map(|_| next(31) as i64 - 15)
+                .collect();
+            let residue = |v: i64, m: u64| v.rem_euclid(m as i64) as u8;
+            let mut case = Case::filled(g, full.len(), |_, _| 0);
+            case.a_exps = (0..groups).map(|gi| gi as i32 * 97 - 160).collect();
+            case.b_exps = (0..groups * PANEL)
+                .map(|i| (i as i32 % 11) * 13 - 40)
+                .collect();
+            let span = groups * g;
+            for (c, &m) in full.iter().enumerate() {
+                case.a[c] = mantissas[..span].iter().map(|&v| residue(v, m)).collect();
+                for col in 0..PANEL {
+                    let column = &mantissas[span * (col + 1)..span * (col + 2)];
+                    case.b[c][col] = column.iter().map(|&v| residue(v, m)).collect();
+                }
+            }
+            let want = case.scalar(&base, None, |r| conv.to_signed_trusted(r));
+            let what = format!("{base:?} g={g}");
+            assert_eq!(bits(case.run(&plain)), bits(want), "{what}");
+            let (Some(checked), _, _) = checked(&base, &redundant, g) else {
+                panic!("{what}: checked lanes");
+            };
+            let (sums, mask) = case.run_checked(&checked, None);
+            assert_eq!(mask, 0, "{what}: clean codewords must pass");
+            assert_eq!(bits(sums), bits(want), "{what}");
+        }
     }
 
     #[test]
@@ -1001,39 +1047,33 @@ mod tests {
             return;
         };
         let triples = base.iter().product::<u64>();
-        let mut cases = 0u64;
-        let mut flagged = 0u64;
+        let (mut cases, mut flagged) = (0u64, 0u64);
         for (free, &r_free) in redundant.iter().enumerate() {
-            let mut dots = vec![[0u32; BLOCK]; 5];
-            let mut want = [(0i32, false); BLOCK];
-            let mut lane = 0;
-            for t in 0..triples {
+            let vectors = (0..triples).flat_map(|t| {
                 let r = [t % 31, (t / 31) % 32, t / (31 * 32)];
                 let v = conv.to_signed_trusted(&r);
-                let mut residues = [r[0], r[1], r[2], 0, 0];
-                for (c, &m) in redundant.iter().enumerate() {
-                    residues[CHANNELS + c] = v.rem_euclid(i128::from(m)) as u64;
-                }
-                for rho in 0..r_free {
+                (0..r_free).map(move |rho| {
+                    let mut residues = [r[0], r[1], r[2], 0, 0];
+                    for (c, &m) in redundant.iter().enumerate() {
+                        residues[CHANNELS + c] = v.rem_euclid(i128::from(m)) as u64;
+                    }
                     residues[CHANNELS + free] = rho;
-                    for (c, &x) in residues.iter().enumerate() {
-                        dots[c][lane] = x as u32;
+                    residues
+                })
+            });
+            one_hot_blocks(vectors, |packed, batch| {
+                let (sums, mask) = packed.run_checked(&lanes, None);
+                for (l, residues) in batch.iter().enumerate() {
+                    let v = conv.to_signed_trusted(&residues[..CHANNELS]);
+                    let bad = !rrns.is_consistent(v, residues);
+                    assert_eq!(mask >> l & 1 == 1, bad, "residues {residues:?}");
+                    if !bad {
+                        assert_eq!(sums[l], v as f32, "residues {residues:?}");
                     }
-                    want[lane] = (v as i32, !rrns.is_consistent(v, &residues));
-                    lane += 1;
-                    let last = t == triples - 1 && rho == r_free - 1;
-                    if lane == BLOCK || last {
-                        let (ints, mask) = lanes.check8(&dots);
-                        for (l, &(value, bad)) in want[..lane].iter().enumerate() {
-                            assert_eq!(ints[l], value, "triple {t}");
-                            assert_eq!(mask >> l & 1 == 1, bad, "triple {t}, residue {rho}");
-                            flagged += u64::from(bad);
-                        }
-                        cases += lane as u64;
-                        lane = 0;
-                    }
+                    flagged += u64::from(bad);
                 }
-            }
+                cases += batch.len() as u64;
+            });
         }
         assert_eq!(cases, triples * (37 + 41));
         assert!(flagged > 0 && flagged < cases);
@@ -1043,149 +1083,148 @@ mod tests {
     fn checked_lanes_reject_the_out_of_range_edge() {
         // M = 32736 is even, so the base CRT reaches -(ψ+1) = -16368:
         // out of range even with both redundant channels agreeing.
-        let (Some(lanes), conv, rrns) = checked(&[31, 32, 33], &[37, 41], 16) else {
+        let (Some(lanes), _, rrns) = checked(&[31, 32, 33], &[37, 41], 16) else {
             return;
         };
         let psi = rrns.psi() as i128;
-        let mut dots = vec![[0u32; BLOCK]; 5];
-        for (lane, value) in [-(psi + 1), -psi, psi, 0].into_iter().enumerate() {
-            for (c, m) in rrns.full_set().moduli().iter().enumerate() {
-                dots[c][lane] = m.reduce_i128(value) as u32;
-            }
-        }
-        let (ints, mask) = lanes.check8(&dots);
-        assert_eq!(ints[..4], [-(psi as i32) - 1, -(psi as i32), psi as i32, 0]);
-        assert_eq!(mask & 0b1111, 0b0001, "only -(ψ+1) is flagged");
-        let r: Vec<u64> = (0..CHANNELS).map(|c| u64::from(dots[c][0])).collect();
-        assert_eq!(conv.to_signed_trusted(&r), -(psi + 1));
+        let values = [-(psi + 1), -psi, psi, 0];
+        let moduli = rrns.full_set().moduli();
+        let vectors = values.map(|value| {
+            let residues: [u64; 5] = std::array::from_fn(|c| moduli[c].reduce_i128(value));
+            residues
+        });
+        one_hot_blocks(vectors.into_iter(), |packed, _| {
+            let (sums, mask) = packed.run_checked(&lanes, None);
+            assert_eq!(sums[..4], values.map(|v| v as f32));
+            assert_eq!(mask & 0b1111, 0b0001, "only -(ψ+1) is flagged");
+        });
     }
 
     #[test]
-    fn checked_block_applies_deltas_at_the_u16_tier_maximum_dot() {
-        // Every plane holds m − 1, so every raw channel dot is the tier
-        // maximum (m − 1)² · g; a delta of m − 1 then pushes it to the
-        // `(m − 1)² · g + (m − 1)` bound the constructor admits.
-        const G: usize = 16;
-        let (base, redundant) = ([31u64, 32, 33], [37u64, 41]);
-        let (Some(lanes), conv, rrns) = checked(&base, &redundant, G) else {
-            return;
-        };
-        let moduli: Vec<u64> = base.iter().chain(&redundant).copied().collect();
-        let a: Vec<Vec<u16>> = moduli.iter().map(|&m| vec![(m - 1) as u16; G]).collect();
-        let b: Vec<Vec<u16>> = moduli
-            .iter()
-            .map(|&m| vec![(m - 1) as u16; G * BLOCK])
-            .collect();
-        let ar: Vec<&[u16]> = a.iter().map(|p| &p[..]).collect();
-        let br: Vec<&[u16]> = b.iter().map(|p| &p[..]).collect();
-        let pb2 = [1.0f64; BLOCK];
-        let mut clean = [0.0f32; BLOCK];
-        let mask = lanes.block8::<G>(&ar, 0, &br, 0, G, &[1.0], &pb2, None, &mut clean);
-        assert_eq!(mask, Some(0));
-        // Lane `c` gets channel `c`'s delta m − 1; lanes 5..8 stay clean.
-        let mut deltas = vec![0u32; moduli.len() * BLOCK];
-        for (c, &m) in moduli.iter().enumerate() {
-            deltas[c * BLOCK + c] = (m - 1) as u32;
-        }
-        let mut out = [0.0f32; BLOCK];
-        let mask = lanes
-            .block8::<G>(&ar, 0, &br, 0, G, &[1.0], &pb2, Some(&deltas), &mut out)
-            .unwrap();
-        for lane in 0..BLOCK {
-            let residues: Vec<u64> = moduli
-                .iter()
-                .enumerate()
-                .map(|(c, &m)| {
-                    let dot = (m - 1) * (m - 1) * G as u64;
-                    let delta = u64::from(deltas[c * BLOCK + lane]);
-                    (dot % m + delta) % m
-                })
-                .collect();
-            let v = conv.to_signed_trusted(&residues[..CHANNELS]);
+    fn checked_block_applies_deltas_at_the_maximum_dot() {
+        // Every plane holds m − 1, so every raw channel dot is its
+        // maximum g·(m − 1)²; a delta of m − 1 then pushes it to the
+        // `g·(m − 1)² + (m − 1)` headroom the constructor admits — in
+        // the fused mode as `δ·w` on the weighted sum, in the wide mode
+        // on the raw dot.
+        for (base, redundant, g) in [
+            ([31u64, 32, 33], [37u64, 41], 16usize),
+            ([31, 32, 33], [37, 41], 32),
+            ([31, 32, 33], [37, 41], 34),
+            ([63, 64, 65], [37, 41], 16),
+            ([63, 64, 65], [37, 41], 32),
+        ] {
+            let (Some(lanes), conv, rrns) = checked(&base, &redundant, g) else {
+                continue;
+            };
+            let full: Vec<u64> = base.iter().chain(&redundant).copied().collect();
+            let mut case = Case::filled(g, full.len(), |c, _| (full[c] - 1) as u8);
+            for (c, cols) in case.b.iter_mut().enumerate() {
+                cols.iter_mut()
+                    .for_each(|col| col.fill((full[c] - 1) as u8));
+            }
+            let (clean, mask) = case.run_checked(&lanes, None);
+            assert_eq!(mask, 0);
+            // Lane `c` gets channel `c`'s delta m − 1; lanes 5..8 stay
+            // clean.
+            let mut deltas = vec![0u32; full.len() * PANEL];
+            for (c, &m) in full.iter().enumerate() {
+                deltas[c * PANEL + c] = (m - 1) as u32;
+            }
+            let (out, mask) = case.run_checked(&lanes, Some(&deltas));
+            let scalar = case.scalar(&full, Some(&deltas), |r| {
+                conv.to_signed_trusted(&r[..CHANNELS])
+            });
+            for lane in 0..PANEL {
+                let residues: Vec<u64> = (0..full.len())
+                    .map(|c| (case.dot(c, 0, lane) + u64::from(deltas[c * PANEL + lane])) % full[c])
+                    .collect();
+                let v = conv.to_signed_trusted(&residues[..CHANNELS]);
+                let what = format!("{base:?} g={g} lane {lane}");
+                assert_eq!(
+                    mask >> lane & 1 == 1,
+                    !rrns.is_consistent(v, &residues),
+                    "{what}"
+                );
+                if lane < CHANNELS {
+                    // The flipped base residue reaches the CRT exactly.
+                    assert_eq!(out[lane].to_bits(), scalar[lane].to_bits(), "{what}");
+                }
+                if lane >= full.len() {
+                    assert_eq!(out[lane].to_bits(), clean[lane].to_bits(), "{what}");
+                }
+            }
             assert_eq!(
-                mask >> lane & 1 == 1,
-                !rrns.is_consistent(v, &residues),
-                "lane {lane}"
+                mask, 0b1_1111,
+                "a single flipped channel is always detected"
             );
-            if lane >= moduli.len() {
-                assert_eq!(out[lane].to_bits(), clean[lane].to_bits(), "lane {lane}");
-            }
         }
-        assert_eq!(
-            mask, 0b1_1111,
-            "a single flipped channel is always detected"
-        );
     }
 
     #[test]
-    fn lane_bound_admits_paper_sets_and_rejects_wide_ranges() {
-        // {1021, 1023, 1024}: u16-tier channels and M < 2^31, but the
-        // fused weights are ~2^30, so Σ (mᵢ − 1)·wᵢ overflows u32.
+    fn lane_bounds_admit_u8_sets_and_reject_the_rest() {
+        // Moduli above 128 have no u8 planes: {1021, 1023, 1024}, and
+        // the k = 7 special set {127, 128, 129}.
         assert!(lanes(&[1021, 1023, 1024], 16).0.is_none());
-        // Group sizes off the 16-lane grid never get lanes.
-        assert!(lanes(&[31, 32, 33], 8).0.is_none());
+        assert!(lanes(&[127, 128, 129], 16).0.is_none());
+        assert!(checked(&[31, 32, 33], &[37, 131], 16).0.is_none());
         if avx2_available() {
-            for k in 4..=7u64 {
+            for (k, g, fused) in [
+                (4u64, 16usize, true),
+                (5, 8, true),
+                (5, 16, true),
+                (5, 32, true),
+                (5, 64, false),
+                (6, 16, false),
+                (6, 32, false),
+            ] {
                 let set = [(1 << k) - 1, 1 << k, (1 << k) + 1];
-                assert!(lanes(&set, 16).0.is_some(), "k = {k}");
+                let got = lanes(&set, g).0.map(|l| l.fused);
+                assert_eq!(got, Some(fused), "k = {k}, g = {g}");
             }
+            // The checked fused mode needs the redundant channels' i16
+            // group sums too: 2·4·126² overflows at g = 16.
+            let (Some(lanes), _, _) = checked(&[31, 32, 33], &[37, 127], 16) else {
+                panic!("u8 redundant channels admit checked lanes");
+            };
+            assert!(!lanes.base.fused);
         }
     }
 
     #[test]
     fn bad_shapes_decline() {
-        let a = vec![1u16; 8];
-        let ar: [&[u16]; CHANNELS] = [&a, &a, &a];
+        let case = Case::filled(16, 5, |_, t| t as u8);
+        let Packed { a, b, .. } = case.packed();
+        let mut out = [0.0f32; PANEL];
         if let (Some(lanes), _) = lanes(&[31, 32, 33], 16) {
-            let b = vec![1u16; 16 * 8];
-            let br: [&[u16]; CHANNELS] = [&b, &b, &b];
-            let a16 = vec![1u16; 16];
-            let a16r: [&[u16]; CHANNELS] = [&a16, &a16, &a16];
-            let mut out = [0.0f32; BLOCK];
-            let pb2 = [1.0f64; BLOCK];
-            // The in-bounds call succeeds…
-            assert!(lanes.block8::<16>(a16r, 0, br, 0, 16, &[1.0], &pb2, &mut out));
-            assert_eq!(out, [16.0; BLOCK]);
-            // …short `a`, short `b`, short `pb2`, a wrong `G` and a
-            // wrong `out` width all decline.
-            assert!(!lanes.block8::<16>(ar, 0, br, 0, 16, &[1.0], &pb2, &mut out));
-            assert!(!lanes.block8::<16>(a16r, 0, br, 0, 17, &[1.0], &pb2, &mut out));
-            assert!(!lanes.block8::<16>(a16r, 0, br, 0, 16, &[1.0], &pb2[..7], &mut out));
-            assert!(!lanes.block8::<32>(a16r, 0, br, 0, 16, &[1.0], &pb2, &mut out));
-            assert!(!lanes.block8::<16>(a16r, 0, br, 0, 16, &[1.0], &pb2, &mut out[..4]));
+            assert_eq!(case.run(&lanes), [0.0; PANEL]);
+            // A short `a`, `b` or `b_exps` declines.
+            let short = &a[0][..15];
+            let (ar, br) = ([&a[0][..], &a[1], &a[2]], [&b[0][..], &b[1], &b[2]]);
+            assert!(!lanes.block([short, &a[1], &a[2]], br, &[0], &[0; 8], &mut out));
+            let short = &b[1][..16 * PANEL - 1];
+            assert!(!lanes.block(ar, [&b[0], short, &b[2]], &[0], &[0; 8], &mut out));
+            assert!(!lanes.block(ar, br, &[0], &[0; 7], &mut out));
+            assert!(!lanes.block(ar, br, &[0, 0], &[0; 16], &mut out));
         }
         if let (Some(lanes), _, _) = checked(&[31, 32, 33], &[37, 41], 16) {
-            let b = vec![1u16; 16 * 8];
-            let a16 = [1u16; 16];
-            let (a5, b5) = ([&a16[..]; 5], [&b[..]; 5]);
-            let pb2 = [1.0f64; BLOCK];
-            let mut out = [0.0f32; BLOCK];
-            let deltas = [0u32; 5 * BLOCK];
-            let ok = lanes.block8::<16>(&a5, 0, &b5, 0, 16, &[1.0], &pb2, Some(&deltas), &mut out);
-            assert_eq!(ok, Some(0), "every channel dot is 16, a consistent value");
-            assert_eq!(out, [16.0; BLOCK]);
-            // A missing plane, a short delta table and a wrong `G` decline.
+            let a: Vec<&[u8]> = a.iter().map(|p| &p[..]).collect();
+            let b: Vec<&[u8]> = b.iter().map(|p| &p[..]).collect();
+            let deltas = [0u32; 5 * PANEL];
+            let ok = lanes.block(&a, &b, &[0], &[0; 8], Some(&deltas), &mut out);
+            assert_eq!(ok, Some(0), "every channel dot is 0, a consistent value");
+            // A missing plane and a short delta table decline.
             assert!(lanes
-                .block8::<16>(&a5[..4], 0, &b5, 0, 16, &[1.0], &pb2, None, &mut out)
+                .block(&a[..4], &b, &[0], &[0; 8], None, &mut out)
                 .is_none());
             assert!(lanes
-                .block8::<16>(
-                    &a5,
-                    0,
-                    &b5,
-                    0,
-                    16,
-                    &[1.0],
-                    &pb2,
-                    Some(&deltas[1..]),
-                    &mut out
-                )
-                .is_none());
-            assert!(lanes
-                .block8::<32>(&a5, 0, &b5, 0, 16, &[1.0], &pb2, None, &mut out)
+                .block(&a, &b, &[0], &[0; 8], Some(&deltas[1..]), &mut out)
                 .is_none());
         }
         // Three redundant channels, or none, get no checked lanes.
         assert!(checked(&[31, 32, 33], &[37, 41, 43], 16).0.is_none());
+        let conv = CrtConverter::new(&ModuliSet::new(&[31, 32, 33]).unwrap());
+        let crt = conv.small_constants().unwrap();
+        assert!(CheckedLanes::new(&values(&[31, 32, 33]), &crt, 16).is_none());
     }
 }

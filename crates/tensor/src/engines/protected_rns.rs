@@ -22,13 +22,15 @@
 //!    reservation covering every (row, column, group, channel) word in
 //!    canonical order, so the kernel meets the same faults at the same
 //!    words whatever order it visits them in.
-//! 2. **Checked lanes.** On AVX2 each 8-column block runs fused
-//!    (`mirage_rns::simd::CheckedLanes`): one modular dot per channel —
-//!    identical arithmetic to the unprotected engine, just more
-//!    channels — the block's planned deltas added to the raw channel
-//!    dots, the base CRT, and a lane-wise check that the value sits
-//!    inside the legitimate range `|v| <= ψ` *and* every redundant
-//!    channel agrees with it ([`RedundantRns::is_consistent`]).
+//! 2. **Checked lanes.** On AVX2, with every channel in `u8` residue
+//!    panels, each (row, 8-column panel) block runs fused
+//!    (`mirage_rns::simd::CheckedLanes`): the unprotected engine's base
+//!    pipeline — channel dots with the CRT weights folded in, one
+//!    reduction mod `M` — with the block's planned deltas added (as
+//!    `δ·wᵢ` on a base channel, raw on a redundant channel's explicit
+//!    dot), and a lane-wise check that the value sits inside the
+//!    legitimate range `|v| <= ψ` *and* every redundant channel agrees
+//!    with it ([`RedundantRns::is_consistent`]).
 //! 3. **Scalar checked decode.** Each inconsistent lane's column — or
 //!    every column, without AVX2 lanes — reruns with the same flips
 //!    applied, group by group. A mismatch is **detected**; drop-one
@@ -494,11 +496,12 @@ mod tests {
         for i in 0..m {
             for j in 0..n {
                 let mut acc = 0.0f32;
-                for gi in 0..a_rns.groups_per_row {
+                for gi in 0..a_rns.groups {
                     let (a_off, b_off) = (a_rns.group_offset(i, gi), cols.group_offset(j, gi));
                     for (c, &modulus) in full.moduli().iter().enumerate() {
                         let r =
-                            a_rns.planes[c].group_dot(a_off, &cols.planes[c], b_off, 16, modulus);
+                            a_rns.planes[c].panel_dots(a_off, &cols.planes[c], b_off, 4, modulus)
+                                [j % 8];
                         residues[c] = injector.corrupt_residue(r, modulus.value()).unwrap_or(r);
                     }
                     let integer = checked.decode(&base, &residues)? as f64;
@@ -598,6 +601,36 @@ mod tests {
             }
         }
         assert!(injected > 0, "the armed runs must flip tail-block residues");
+    }
+
+    #[test]
+    fn windows_starting_inside_a_panel_meet_the_same_flips_as_the_scalar_kernel() {
+        // A column window whose first column sits inside an 8-column
+        // panel: the lanes stage the window's flips at the live lanes
+        // only, so every output bit, fault count and draw must match
+        // the scalar kernel's.
+        let (a, b) = operands(64, 3, 40, 21);
+        let mut injected = 0;
+        for (c0, width) in [(3, 13), (5, 2), (9, 11), (1, 20)] {
+            for seed in 0..3u64 {
+                let run = |simd| {
+                    let injector = Arc::new(FaultInjector::new(
+                        FaultConfig::disabled(seed).with_residue_flip_rate(0.01),
+                    ));
+                    let mut engine = ProtectedRnsBfpEngine::with_min_special_set(cfg())
+                        .unwrap()
+                        .with_injector(Arc::clone(&injector));
+                    engine.base = engine.base.with_simd_policy(simd);
+                    let tile = engine.prepare(&b).unwrap().cols(c0, width).unwrap();
+                    let out = engine.gemm_prepared(&a, &tile).map(|t| t.data().to_vec());
+                    (out, injector.counts(), injector.draws())
+                };
+                let (scalar, lanes) = (run(SimdPolicy::Off), run(SimdPolicy::Auto));
+                assert_eq!(lanes, scalar, "window ({c0}, {width}), seed {seed}");
+                injected += lanes.1.injected;
+            }
+        }
+        assert!(injected > 0, "the armed runs must flip windowed residues");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! widths (`i8` for bm ≤ 7, the SIMD kernel's operands; `i16`; `i32`),
 //! and zero-dimension edges. The fused RNS-BFP pipeline is additionally
 //! driven with operands scaled across 2^±100 and with a moduli set
-//! that fails its 32-bit lane bound.
+//! whose residues are too wide for its `u8` panels.
 
 use mirage_bfp::{BfpConfig, SimdPolicy};
 use mirage_rns::convert::CrtConverter;
@@ -219,8 +219,8 @@ proptest! {
         assert_rns_matches_scalar_bfp(config, None, &a, &b)?;
     }
 
-    /// A 3-modulus co-prime set whose CRT weights overflow the 32-bit
-    /// lane bound: it gets no fused lanes, and the AVX2 policy's
+    /// A 3-modulus co-prime set with moduli above 128, so no `u8`
+    /// residue panels: it gets no AVX2 lanes, and the AVX2 policy's
     /// scalar-CRT fallback stays bit-identical.
     #[test]
     fn rns_bfp_sets_failing_the_lane_bound_fall_back_exactly(
