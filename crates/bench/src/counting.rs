@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 /// Shared tallies of every [`GemmEngine`] entry point (see
 /// [`CountingEngine`]). Counters are atomic so the wrapped engine can
-/// run under the tiled parallel driver.
+/// run under the parallel driver.
 #[derive(Debug, Default)]
 pub struct GemmCounters {
     raw_gemms: AtomicUsize,

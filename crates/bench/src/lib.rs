@@ -38,6 +38,6 @@ pub mod table;
 pub use counting::{CountingEngine, GemmCounters};
 pub use cpu::CpuReport;
 pub use json::{write_summary, JsonField};
-pub use paired::{paired_speedup, PairedSpeedup};
+pub use paired::{paired_speedup, paired_speedup_threaded, PairedSpeedup};
 pub use stats::{percentile, percentile_sorted};
 pub use table::print_table;

@@ -69,6 +69,30 @@ fn median(v: &mut [f64]) -> f64 {
 pub fn paired_speedup(
     rounds: usize,
     reps: usize,
+    candidate: impl FnMut(),
+    baseline: impl FnMut(),
+) -> PairedSpeedup {
+    paired(rounds, reps, true, candidate, baseline)
+}
+
+/// [`paired_speedup`] for a side that parks the timing thread on
+/// purpose — a multi-threaded GEMM joining its workers. Such a join
+/// always moves the scheduler counters, so no round would count as
+/// clean; this variant keeps every round and relies on the
+/// order-balanced medians alone.
+pub fn paired_speedup_threaded(
+    rounds: usize,
+    reps: usize,
+    candidate: impl FnMut(),
+    baseline: impl FnMut(),
+) -> PairedSpeedup {
+    paired(rounds, reps, false, candidate, baseline)
+}
+
+fn paired(
+    rounds: usize,
+    reps: usize,
+    discard_descheduled: bool,
     mut candidate: impl FnMut(),
     mut baseline: impl FnMut(),
 ) -> PairedSpeedup {
@@ -94,7 +118,7 @@ pub fn paired_speedup(
                 }
             }
             let dt = t0.elapsed().as_secs_f64();
-            if sched_marks() != marks {
+            if discard_descheduled && sched_marks() != marks {
                 clean = false;
             }
             pair[usize::from(!run_candidate)] = dt;
@@ -161,6 +185,14 @@ mod tests {
             "identical workloads measured {:.3}x apart",
             r.speedup
         );
+    }
+
+    #[test]
+    fn threaded_pairs_keep_every_round() {
+        let join = || std::thread::scope(|s| s.spawn(|| spin(20_000)).join().unwrap());
+        let r = paired_speedup_threaded(6, 2, join, || spin(20_000));
+        assert_eq!((r.kept, r.discarded), (6, 0));
+        assert!(r.speedup.is_finite());
     }
 
     #[test]

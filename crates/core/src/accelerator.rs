@@ -52,25 +52,24 @@ impl Mirage {
         BfpEngine::new(self.bfp_config())
     }
 
-    /// The fast functional GEMM engine lifted onto the tiled
-    /// multi-threaded execution layer (auto tile/thread heuristic;
-    /// `MIRAGE_THREADS` overrides the worker count). Bit-identical to
+    /// The fast functional GEMM engine lifted onto the row-banded
+    /// multi-threaded execution layer (auto worker count;
+    /// `MIRAGE_THREADS` overrides it). Bit-identical to
     /// [`Mirage::gemm_engine`] — BFP quantization is per-row/per-column,
-    /// so output tiling cannot perturb it.
+    /// so splitting the output rows cannot perturb it.
     pub fn parallel_gemm_engine(&self) -> ParallelGemm<BfpEngine> {
         ParallelGemm::auto(self.gemm_engine())
     }
 
     /// Like [`Mirage::parallel_gemm_engine`] with an explicit
-    /// [`TileConfig`] (pin thread counts in benchmarks, force serial in
-    /// bit-exactness baselines).
+    /// [`TileConfig`] (pin the thread count in benchmarks, force serial
+    /// in bit-exactness baselines).
     pub fn parallel_gemm_engine_with(&self, config: TileConfig) -> ParallelGemm<BfpEngine> {
         ParallelGemm::new(self.gemm_engine(), config)
     }
 
     /// Prepares (quantizes) a weight matrix once for repeated inference
-    /// via `gemm_prepared`/`gemm_batch_prepared` on
-    /// [`Mirage::parallel_gemm_engine`].
+    /// via `gemm_prepared` on [`Mirage::parallel_gemm_engine`].
     ///
     /// # Errors
     ///
@@ -182,8 +181,8 @@ impl Mirage {
     }
 
     /// Training engines for `mirage-nn` (same Mirage arithmetic in
-    /// forward and backward passes, per §V-A), running on the tiled
-    /// multi-threaded execution layer by default. Bit-identical to the
+    /// forward and backward passes, per §V-A), running on the
+    /// row-banded multi-threaded execution layer by default. Bit-identical to the
     /// serial engines, so accuracy experiments are unaffected; use
     /// [`Mirage::serial_training_engines`] to pin single-threaded
     /// execution explicitly.
@@ -274,33 +273,6 @@ mod tests {
         assert_eq!(parallel.data(), serial.data());
         // Training engines default to the parallel path with the same name.
         assert_eq!(mirage.training_engines().forward().name(), "mirage-bfp");
-    }
-
-    #[test]
-    fn gemm_batch_matches_per_item_gemms() {
-        let mirage = Mirage::paper_default();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(125);
-        let weight = Tensor::randn(&[32, 10], 1.0, &mut rng);
-        let inputs: Vec<Tensor> = (0..5)
-            .map(|_| Tensor::randn(&[8, 32], 1.0, &mut rng))
-            .collect();
-        let engine = mirage.parallel_gemm_engine();
-        let batch = engine.gemm_batch(&inputs, &weight).unwrap();
-        assert_eq!(batch.len(), inputs.len());
-        let serial = mirage.gemm_engine();
-        for (input, got) in inputs.iter().zip(&batch) {
-            assert_eq!(got.data(), serial.gemm(input, &weight).unwrap().data());
-        }
-        // Shape errors surface for the whole batch.
-        assert!(engine
-            .gemm_batch(&[Tensor::zeros(&[2, 3])], &weight)
-            .is_err());
-        // Empty batches and zero-row items are well-formed, not panics.
-        assert!(engine.gemm_batch(&[], &weight).unwrap().is_empty());
-        let empty_item = engine
-            .gemm_batch(&[Tensor::zeros(&[0, 32])], &weight)
-            .unwrap();
-        assert_eq!(empty_item[0].shape(), &[0, 10]);
     }
 
     #[test]

@@ -25,11 +25,12 @@
 //!   rule is tested on a virtual clock.
 //! - [`report`] — evaluation summaries used by the benchmark harness.
 //!
-//! GEMMs run on the tiled multi-threaded execution layer by default:
-//! [`Mirage::training_engines`] and [`Mirage::parallel_gemm_engine`]
-//! wrap the BFP arithmetic in `mirage_tensor::parallel::ParallelGemm`
-//! (bit-identical to serial), and its `gemm_batch` amortizes setup
-//! across a whole inference batch inside one thread scope.
+//! GEMMs run on the row-banded multi-threaded execution layer by
+//! default: [`Mirage::training_engines`] and
+//! [`Mirage::parallel_gemm_engine`] wrap the BFP arithmetic in
+//! `mirage_tensor::parallel::ParallelGemm` (bit-identical to serial),
+//! which gives each worker one band of output rows and keeps
+//! single-row calls on the serial path.
 //!
 //! ```
 //! use mirage_core::Mirage;

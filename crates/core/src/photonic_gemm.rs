@@ -51,9 +51,9 @@ impl PackedStreamedCols {
     }
 }
 
-/// Prepared B-side state: the packed streamed operand. Column tiles are
+/// Prepared B-side state: the packed streamed operand. Column shards are
 /// windows of the [`PreparedRhs`] holding it (`PreparedRhs::cols`), so
-/// the tiled parallel driver hands workers views of one shared buffer.
+/// the shard planner hands every shard a view of one shared buffer.
 #[derive(Debug)]
 struct PreparedPhotonicCols {
     bfp: BfpConfig,
@@ -301,11 +301,7 @@ mod tests {
         let serial = engine.gemm(&a, &b).unwrap();
         let parallel = engine
             .clone()
-            .parallel_with(TileConfig {
-                tile_m: 16,
-                tile_n: 8,
-                threads: 4,
-            })
+            .parallel_with(TileConfig::auto().with_threads(4))
             .gemm(&a, &b)
             .unwrap();
         assert_eq!(parallel.data(), serial.data());

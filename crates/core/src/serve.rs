@@ -490,13 +490,13 @@ pub enum ServeError {
     /// The RRNS protection layer detected a corruption in this
     /// request's execution that it could not correct. The request is
     /// answered with this typed error instead of a silently wrong
-    /// output; the counts cover this request's execution up to the
-    /// abort.
+    /// output, carrying every fault event of the aborted execution —
+    /// the same counts an `Ok` response reports in
+    /// [`RequestStats::faults`].
     Uncorrectable {
-        /// Corrupted group results detected during this execution.
-        detected: u64,
-        /// Corruptions corrected exactly before the abort.
-        corrected: u64,
+        /// Injected, detected, corrected and uncorrectable events of
+        /// the aborted execution.
+        faults: FaultCounts,
     },
     /// The worker dropped the response channel without answering
     /// (never expected: workers drain the queue even on shutdown).
@@ -525,14 +525,12 @@ impl std::fmt::Display for ServeError {
             ServeError::Panicked { message } => {
                 write!(f, "model panicked while serving the batch: {message}")
             }
-            ServeError::Uncorrectable {
-                detected,
-                corrected,
-            } => {
+            ServeError::Uncorrectable { faults } => {
                 write!(
                     f,
-                    "uncorrectable corruption detected by RRNS protection \
-                     ({detected} detected, {corrected} corrected before the abort)"
+                    "uncorrectable corruption detected by RRNS protection ({} injected, \
+                     {} detected, {} corrected, {} uncorrectable before the abort)",
+                    faults.injected, faults.detected, faults.corrected, faults.uncorrectable
                 )
             }
             ServeError::Disconnected => {
@@ -1175,14 +1173,13 @@ fn catch_run(
 
 /// Maps a model error onto its serving error: an uncorrectable RRNS
 /// abort becomes [`ServeError::Uncorrectable`] carrying this
-/// execution's detection/correction counts; everything else stays a
+/// execution's fault counts; everything else stays a
 /// [`ServeError::Model`].
 fn model_error(e: NnError, faults: FaultCounts) -> ServeError {
     match e {
-        NnError::Tensor(TensorError::Rns(RnsError::Uncorrectable)) => ServeError::Uncorrectable {
-            detected: faults.detected,
-            corrected: faults.corrected,
-        },
+        NnError::Tensor(TensorError::Rns(RnsError::Uncorrectable)) => {
+            ServeError::Uncorrectable { faults }
+        }
         other => ServeError::Model(other),
     }
 }
@@ -1592,8 +1589,12 @@ mod server_tests {
                 message: "p".into(),
             },
             ServeError::Uncorrectable {
-                detected: 3,
-                corrected: 2,
+                faults: FaultCounts {
+                    injected: 4,
+                    detected: 3,
+                    corrected: 2,
+                    uncorrectable: 1,
+                },
             },
             ServeError::Disconnected,
             ServeError::WorkerSpawn {
@@ -1657,11 +1658,13 @@ mod server_tests {
         let x = Tensor::full(&[1, 16], 0.5);
         let err = server.infer(x.clone()).unwrap_err();
         match err {
-            ServeError::Uncorrectable {
-                detected,
-                corrected,
-            } => {
-                assert!(detected > corrected, "at least one group was unfixable");
+            ServeError::Uncorrectable { faults } => {
+                assert!(
+                    faults.detected > faults.corrected,
+                    "at least one group was unfixable"
+                );
+                assert_eq!(faults.detected, faults.corrected + faults.uncorrectable);
+                assert!(faults.injected >= faults.detected);
             }
             other => panic!("expected Uncorrectable, got {other:?}"),
         }

@@ -30,7 +30,8 @@
 //! [`mirage_tensor::GemmEngine::prepare`] contract — so
 //! `CompiledNetwork::run` equals `Sequential::forward` to the last bit,
 //! on every engine. The cross-crate grid tests enforce this across
-//! exact / BFP / RNS-BFP / photonic engines, batch sizes and tilings.
+//! exact / BFP / RNS-BFP / photonic engines, batch sizes and worker
+//! counts.
 //!
 //! Layers whose forward pass is *training-only* behaviour do not
 //! silently degrade: an active `Dropout` or a training-mode
@@ -482,8 +483,8 @@ impl PlanStep for DenseStep {
     /// slice of output features cut from the shared preparation by
     /// [`PreparedRhs::cols`], plus the matching bias slice. The
     /// fixed-order column concat equals the whole GEMM bit-exactly for
-    /// tile-invariant engines — the same invariant the tiled parallel
-    /// driver relies on, lifted to model level. A fused ReLU shards
+    /// tile-invariant engines — the same invariant the row-banded
+    /// parallel driver relies on, lifted to model level. A fused ReLU shards
     /// freely: it is elementwise, so applying it per column shard
     /// before the concat equals applying it after.
     fn shard(&self, shards: usize) -> Result<Option<Vec<crate::shard::ShardedStep>>> {

@@ -36,18 +36,18 @@ impl Engines {
         }
     }
 
-    /// Uses the same engine for both directions, lifted onto the tiled
-    /// multi-threaded execution layer with the auto heuristic — every
-    /// layer's forward and gradient GEMMs then fan out across worker
-    /// threads, bit-identically to [`Engines::uniform`] for
-    /// tile-invariant engines.
+    /// Uses the same engine for both directions, lifted onto the
+    /// row-banded multi-threaded execution layer with the auto worker
+    /// count — every layer's forward and gradient GEMMs then fan out
+    /// across worker threads, bit-identically to [`Engines::uniform`]
+    /// for tile-invariant engines.
     pub fn uniform_parallel(engine: impl GemmEngine + 'static) -> Self {
         Engines::uniform(ParallelGemm::auto(engine))
     }
 
-    /// Re-wraps both directions' engines in the tiled multi-threaded
-    /// driver with an explicit [`TileConfig`] (e.g. to pin the worker
-    /// count for a benchmark). Safe to apply to already-parallel
+    /// Re-wraps both directions' engines in the row-banded
+    /// multi-threaded driver with an explicit [`TileConfig`] (e.g. to
+    /// pin the worker count for a benchmark). Safe to apply to already-parallel
     /// engines: a nested driver detects it is running inside a worker
     /// and stays serial, so thread counts never multiply — though to
     /// *retune* an existing parallel engine, prefer rebuilding it with

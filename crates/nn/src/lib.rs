@@ -11,9 +11,10 @@
 //! - swapping the engine (FP32 / BFP / bf16 / HFP8 / INT8 / …) changes
 //!   only the arithmetic, enabling the Table I comparison;
 //! - [`Engines::uniform_parallel`] (or [`Engines::parallelized`]) lifts
-//!   any engine onto the tiled multi-threaded execution layer, so every
-//!   forward and gradient GEMM fans out across worker threads without
-//!   changing a single bit of the result for deterministic engines.
+//!   any engine onto the row-banded multi-threaded execution layer, so
+//!   every forward and gradient GEMM fans out across worker threads
+//!   without changing a single bit of the result for deterministic
+//!   engines.
 //!
 //! ```
 //! use mirage_nn::{Sequential, layers::{Dense, Relu}, Engines};

@@ -36,7 +36,7 @@
 //! - only engines that opt into
 //!   [`tile_invariant`](mirage_tensor::GemmEngine::tile_invariant)
 //!   shard (each output element depends on its own row of A and column
-//!   of B — the invariant the tiled parallel driver already proves);
+//!   of B — the invariant the row-banded parallel driver already proves);
 //!   every other step is replicated unchanged;
 //! - shard concat order is fixed, so the reassembled activation is the
 //!   same buffer the unsharded step would have produced, bit for bit;

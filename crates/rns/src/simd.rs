@@ -22,7 +22,7 @@
 //! exact, and each 16-bit pair sum is at most `2 · 127² = 32258 < 2¹⁵`:
 //! it never saturates.
 //!
-//! ## Folding the CRT weights into the widening (fused mode)
+//! ## Folding the CRT weights into the widening
 //!
 //! The small-range CRT of residues `rᵢ = dᵢ mod mᵢ` is `v = (Σ rᵢ · wᵢ)
 //! mod M` with the fused weights `wᵢ = |Tᵢ · Mᵢ|_M`, then `v − M` when
@@ -40,25 +40,20 @@
 //! - one `pmaddwd` against the broadcast weight `wᵢ` (not `1`) widens
 //!   each column's two `i16` halves into `dᵢ · wᵢ` in its own `i32`
 //!   lane, exact while `wᵢ ≤ i16::MAX`;
-//! - the channel products add in `i32`: [`Crt3Lanes::new`] admits the
-//!   fused mode only when `Σᵢ (g · (mᵢ − 1)² + (mᵢ − 1)) · wᵢ < 2³¹`,
-//!   which also leaves room for a fault delta per channel;
+//! - the channel products add in `i32`: [`Crt3Lanes::new`] admits a
+//!   set only when `Σᵢ (g · (mᵢ − 1)² + (mᵢ − 1)) · wᵢ < 2³¹`, which
+//!   also leaves room for a fault delta per channel;
 //! - `v = s mod M` by one multiply-high Barrett step with `μ = ⌊2³² /
 //!   M⌋`: `q = ⌊s·μ / 2³²⌋` undershoots `⌊s/M⌋` by at most one for every
 //!   `s < 2³²`, so one conditional subtraction finishes it.
 //!
 //! The paper's `{31, 32, 33}` at `g ∈ {16, 32}` passes all three bounds
-//! (at `g = 32` the weighted sum is about 2.02 · 10⁹ < 2³¹).
-//!
-//! ## Wide mode
-//!
-//! Sets that fail a fused bound — `{63, 64, 65}`, whose `M > 2¹⁵` gives
-//! weights above `i16::MAX` and whose `(g/2)(m − 1)²` reaches 2¹⁵ at `g
-//! = 16` — widen every quad's pair sums with `pmaddwd(·, 1)` into exact
-//! `i32` dots (bounded by `g · (m − 1)² + (m − 1) ≤ i32::MAX`), reduce
-//! each channel by one Barrett step, and form `Σ rᵢ · wᵢ` (admitted
-//! while `Σ (mᵢ − 1) · wᵢ < 2³²`) before the final reduction mod `M`.
-//! `M < 2³¹` keeps the signed adjust inside `i32` in both modes.
+//! (at `g = 32` the weighted sum is about 2.02 · 10⁹ < 2³¹). Sets that
+//! fail one — `{63, 64, 65}`, whose `M > 2¹⁵` gives weights above
+//! `i16::MAX`, or `{31, 32, 33}` from `g = 35` — get no lanes: the
+//! engine runs its scalar panel kernel, the oracle, instead. Three
+//! moduli of at most 128 give `M ≤ 2²¹`, so the signed adjust stays
+//! inside `i32`.
 //!
 //! ## Scale recombination
 //!
@@ -76,13 +71,13 @@
 //! and adds, per group and lane:
 //!
 //! - **Fault deltas.** A planned residue flip adds `δ ∈ [1, m)` to a
-//!   channel. On a base channel in fused mode it adds `δ · wᵢ` to the
-//!   weighted sum, since `(dᵢ + δ) · wᵢ ≡ ((dᵢ mod mᵢ + δ) mod mᵢ) · wᵢ`;
-//!   in wide mode, and on a redundant channel, it adds `δ` to the raw
-//!   dot before that channel's Barrett step, and `(d + δ) mod m` is the
-//!   flipped residue. The bounds above include this headroom.
-//! - **Consistency.** Redundant channels keep their explicit dot and
-//!   reduction. The base CRT gives `v ∈ [−(ψ+1), ψ]`; the lane is
+//!   channel. On a base channel it adds `δ · wᵢ` to the weighted sum,
+//!   since `(dᵢ + δ) · wᵢ ≡ ((dᵢ mod mᵢ + δ) mod mᵢ) · wᵢ`; on a
+//!   redundant channel it adds `δ` to the raw dot before that channel's
+//!   Barrett step, and `(d + δ) mod m` is the flipped residue. The
+//!   bounds above include this headroom.
+//! - **Consistency.** Redundant channels keep their explicit dot (their
+//!   `i16` group sums widened by `pmaddwd(·, 1)`) and reduction. The base CRT gives `v ∈ [−(ψ+1), ψ]`; the lane is
 //!   consistent iff `v ≥ −ψ` and, for every redundant `r`, `(v + Kᵣ) mod
 //!   r == dotᵣ mod r`, where `Kᵣ` is the least multiple of `r` at or
 //!   above `ψ + 1` (so `v + Kᵣ ≥ 0` and `≡ v`). By CRT uniqueness this is
@@ -147,10 +142,8 @@ fn i16_group_sums_fit(m: &Modulus, quads: usize) -> bool {
 }
 
 /// Per-GEMM lane constants of the AVX2 group pipeline for one 3-modulus
-/// set and group size: the group's quad count, whether the CRT weights
-/// fold into the widening (the fused mode, see the module docs),
-/// Barrett reciprocals of the channel moduli and of `M`, the fused CRT
-/// weights, and `ψ`, all as `u32`.
+/// set and group size: the group's quad count, the fused CRT weights,
+/// the Barrett reciprocal of `M`, and `ψ`, all as `u32`.
 ///
 /// Built by [`Crt3Lanes::new`], which performs the whole exactness
 /// check once; [`Crt3Lanes::block`] then runs without re-checking the
@@ -158,9 +151,6 @@ fn i16_group_sums_fit(m: &Modulus, quads: usize) -> bool {
 #[derive(Debug, Clone, Copy)]
 pub struct Crt3Lanes {
     quads: usize,
-    fused: bool,
-    moduli: [u32; CHANNELS],
-    magic: [u32; CHANNELS],
     weights: [u32; CHANNELS],
     range: u32,
     range_magic: u32,
@@ -173,16 +163,16 @@ impl Crt3Lanes {
     ///
     /// Returns `None` — the caller keeps its scalar panel kernel —
     /// unless AVX2 is available, every modulus is at most 128 (`u8`
-    /// planes), `M < 2³¹`, every widened dot fits `i32`, and `Σ (mᵢ −
-    /// 1) · wᵢ < 2³²`. The fused mode is chosen when the `i16`
-    /// group-sum, `wᵢ ≤ i16::MAX` and `2³¹` bounds also hold.
+    /// planes), and the three bounds of the module docs hold: `i16`
+    /// group sums, `wᵢ ≤ i16::MAX`, and `Σ (g·(mᵢ − 1)² + (mᵢ − 1)) ·
+    /// wᵢ < 2³¹`.
     pub fn new(moduli: &[Modulus], crt: &SmallCrtConstants<'_>, g: usize) -> Option<Self> {
         Self::for_channels(moduli, moduli, crt, g)
     }
 
     /// [`Crt3Lanes::new`] for the `base` channels of a block that reads
-    /// every channel of `all`: the `u8`, `i32` and `i16` bounds must
-    /// hold on each of them.
+    /// every channel of `all`: the `u8` and `i16` bounds must hold on
+    /// each of them.
     fn for_channels(
         base: &[Modulus],
         all: &[Modulus],
@@ -193,40 +183,32 @@ impl Crt3Lanes {
             return None;
         }
         let range = crt.m.value();
-        if range >= 1 << 31 || crt.psi >= range {
-            return None;
-        }
-        let top = |m: &Modulus| u128::from(m.value() - 1);
-        // The largest raw dot plus fault delta of a channel.
-        let dot_max = |m: &Modulus| g as u128 * top(m) * top(m) + top(m);
-        if all
-            .iter()
-            .any(|m| m.value() > U8_MAX_MODULUS || dot_max(m) > i32::MAX as u128)
+        let quads = g.div_ceil(QUAD);
+        if crt.psi >= range
+            || !all
+                .iter()
+                .all(|m| m.value() <= U8_MAX_MODULUS && i16_group_sums_fit(m, quads))
         {
             return None;
         }
-        let quads = g.div_ceil(QUAD);
         let mut lanes = Crt3Lanes {
             quads,
-            fused: all.iter().all(|m| i16_group_sums_fit(m, quads)),
-            moduli: [0; CHANNELS],
-            magic: [0; CHANNELS],
             weights: [0; CHANNELS],
             range: range as u32,
             range_magic: barrett_u32(range),
             psi: crt.psi as u32,
         };
-        let (mut fused_sum, mut reduced_sum) = (0u128, 0u128);
+        let mut weighted_sum = 0u128;
         for (c, (m, &w)) in base.iter().zip(crt.wi).enumerate() {
-            fused_sum += dot_max(m) * u128::from(w);
-            reduced_sum += top(m) * u128::from(w);
-            lanes.fused &= w <= i16::MAX as u64;
-            lanes.moduli[c] = m.value() as u32;
-            lanes.magic[c] = barrett_u32(m.value());
+            // The largest raw dot plus fault delta of the channel.
+            let top = u128::from(m.value() - 1);
+            weighted_sum += (g as u128 * top * top + top) * u128::from(w);
+            if w > i16::MAX as u64 {
+                return None;
+            }
             lanes.weights[c] = w as u32;
         }
-        lanes.fused &= fused_sum <= i32::MAX as u128;
-        if reduced_sum > u128::from(u32::MAX) || !avx2_available() {
+        if weighted_sum > i32::MAX as u128 || !avx2_available() {
             return None;
         }
         Some(lanes)
@@ -266,13 +248,7 @@ impl Crt3Lanes {
             // SAFETY: a `Crt3Lanes` exists only where AVX2 was detected
             // (`new`), `fits` verified every slice bound the kernel
             // reads, and no deltas are read without redundant channels.
-            unsafe {
-                if self.fused {
-                    x86::block_avx2::<0, true, false>(self, &Redundant::NONE, &ops, out);
-                } else {
-                    x86::block_avx2::<0, false, false>(self, &Redundant::NONE, &ops, out);
-                }
-            }
+            unsafe { x86::block_avx2::<0, false>(self, &Redundant::NONE, &ops, out) };
             true
         }
         #[cfg(not(target_arch = "x86_64"))]
@@ -332,8 +308,8 @@ impl CheckedLanes {
     ///
     /// Returns `None` (the caller keeps its scalar checked decode) when
     /// the redundant count is not 1 or 2 or the bounds of
-    /// [`Crt3Lanes::new`] fail on any channel; the `i16` group-sum
-    /// bound decides the fused mode over every channel.
+    /// [`Crt3Lanes::new`] fail on any channel (the `u8` and `i16`
+    /// group-sum bounds on the redundant ones too).
     pub fn new(moduli: &[Modulus], crt: &SmallCrtConstants<'_>, g: usize) -> Option<Self> {
         let (base, redundant) = moduli.split_at_checked(CHANNELS)?;
         if redundant.is_empty() || redundant.len() > MAX_REDUNDANT {
@@ -405,15 +381,11 @@ impl CheckedLanes {
             // including the delta table when `FAULTY` — is verified
             // above.
             let mask = unsafe {
-                match (self.redundant, deltas.is_some(), lanes.fused) {
-                    (1, false, true) => x86::block_avx2::<1, true, false>(lanes, red, &ops, out),
-                    (1, false, false) => x86::block_avx2::<1, false, false>(lanes, red, &ops, out),
-                    (1, true, true) => x86::block_avx2::<1, true, true>(lanes, red, &ops, out),
-                    (1, true, false) => x86::block_avx2::<1, false, true>(lanes, red, &ops, out),
-                    (_, false, true) => x86::block_avx2::<2, true, false>(lanes, red, &ops, out),
-                    (_, false, false) => x86::block_avx2::<2, false, false>(lanes, red, &ops, out),
-                    (_, true, true) => x86::block_avx2::<2, true, true>(lanes, red, &ops, out),
-                    (_, true, false) => x86::block_avx2::<2, false, true>(lanes, red, &ops, out),
+                match (self.redundant, deltas.is_some()) {
+                    (1, false) => x86::block_avx2::<1, false>(lanes, red, &ops, out),
+                    (1, true) => x86::block_avx2::<1, true>(lanes, red, &ops, out),
+                    (_, false) => x86::block_avx2::<2, false>(lanes, red, &ops, out),
+                    (_, true) => x86::block_avx2::<2, true>(lanes, red, &ops, out),
                 }
             };
             Some(mask)
@@ -442,10 +414,8 @@ mod x86 {
     /// [`Crt3Lanes`] and the redundant constants, broadcast into
     /// registers once per block.
     struct Consts {
-        moduli: [__m256i; CHANNELS],
-        magic: [__m256i; CHANNELS],
-        /// The weights as `i32` lanes (for `mullo`) and as `i16` lanes
-        /// (for the fused `pmaddwd`).
+        /// The weights as `i32` lanes (for the deltas' `mullo`) and as
+        /// `i16` lanes (for the widening `pmaddwd`).
         weights: [__m256i; CHANNELS],
         weights16: [__m256i; CHANNELS],
         range: __m256i,
@@ -465,10 +435,8 @@ mod x86 {
         fn load(lanes: &Crt3Lanes, red: &Redundant) -> Self {
             let set = |v: u32| _mm256_set1_epi32(v as i32);
             Consts {
-                moduli: lanes.moduli.map(set),
-                magic: lanes.magic.map(set),
                 weights: lanes.weights.map(set),
-                // Only read in the fused mode, where wᵢ ≤ i16::MAX.
+                // wᵢ ≤ i16::MAX (`Crt3Lanes::for_channels`).
                 weights16: lanes.weights.map(|w| _mm256_set1_epi16(w as i16)),
                 range: set(lanes.range),
                 range_magic: set(lanes.range_magic),
@@ -496,34 +464,24 @@ mod x86 {
         _mm256_min_epu32(r, _mm256_sub_epi32(r, m))
     }
 
-    /// Fig. 2 step 7 for 8 columns from the base channels' group sums
-    /// (plus deltas when `FAULTY`): the CRT folded into the widening
-    /// (`FUSED`) or reduced channel by channel, one reduction mod `M`,
-    /// and the signed adjust — `i32` lanes out.
+    /// Fig. 2 step 7 for 8 columns from the base channels' `i16` group
+    /// sums (plus deltas when `FAULTY`): the CRT folded into the
+    /// widening, one reduction mod `M`, and the signed adjust — `i32`
+    /// lanes out.
     #[inline]
     #[target_feature(enable = "avx2")]
-    fn crt8<const FUSED: bool, const FAULTY: bool>(
+    fn crt8<const FAULTY: bool>(
         k: &Consts,
         sums: &[__m256i; MAX_CHANNELS],
         deltas: &[__m256i; MAX_CHANNELS],
     ) -> __m256i {
         let mut s = _mm256_setzero_si256();
         for c in 0..CHANNELS {
-            if FUSED {
-                // dᵢ · wᵢ per column: each column's two i16 halves times
-                // the i16 weight, added into its own i32 lane.
-                s = _mm256_add_epi32(s, _mm256_madd_epi16(sums[c], k.weights16[c]));
-                if FAULTY {
-                    s = _mm256_add_epi32(s, _mm256_mullo_epi32(deltas[c], k.weights[c]));
-                }
-            } else {
-                let d = if FAULTY {
-                    _mm256_add_epi32(sums[c], deltas[c])
-                } else {
-                    sums[c]
-                };
-                let r = rem8(d, k.moduli[c], k.magic[c]);
-                s = _mm256_add_epi32(s, _mm256_mullo_epi32(r, k.weights[c]));
+            // dᵢ · wᵢ per column: each column's two i16 halves times the
+            // i16 weight, added into its own i32 lane.
+            s = _mm256_add_epi32(s, _mm256_madd_epi16(sums[c], k.weights16[c]));
+            if FAULTY {
+                s = _mm256_add_epi32(s, _mm256_mullo_epi32(deltas[c], k.weights[c]));
             }
         }
         let v = rem8(s, k.range, k.range_magic);
@@ -559,12 +517,12 @@ mod x86 {
     /// # Safety
     ///
     /// AVX2 must be available, `lanes` must come from
-    /// [`Crt3Lanes::for_channels`] over every channel of `ops` (so
-    /// `FUSED` may equal `lanes.fused` only), `ops` must hold `3 + R`
+    /// [`Crt3Lanes::for_channels`] over every channel of `ops`, `ops`
+    /// must hold `3 + R`
     /// planes per side passing [`Crt3Lanes::fits`], and `ops.deltas`
     /// must hold `groups · (3 + R) · 8` entries when `FAULTY`.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn block_avx2<const R: usize, const FUSED: bool, const FAULTY: bool>(
+    pub(super) unsafe fn block_avx2<const R: usize, const FAULTY: bool>(
         lanes: &Crt3Lanes,
         red: &Redundant,
         ops: &Block<'_, '_>,
@@ -585,8 +543,7 @@ mod x86 {
         for (gi, &ae) in ops.a_exps.iter().enumerate() {
             let (a_g, b_g) = (gi * stride, gi * stride * PANEL);
             let mut sums = [_mm256_setzero_si256(); MAX_CHANNELS];
-            // Exact channel dots (module docs): i16 group sums when
-            // `FUSED`, else i32 sums widened every quad.
+            // Exact channel dots in i16 group sums (module docs).
             // mirage-lint: region(int_kernel)
             for q in 0..quads {
                 for c in 0..channels {
@@ -601,11 +558,7 @@ mod x86 {
                         )
                     };
                     let pairs = _mm256_maddubs_epi16(_mm256_set1_epi32(quad), bv);
-                    sums[c] = if FUSED {
-                        _mm256_add_epi16(sums[c], pairs)
-                    } else {
-                        _mm256_add_epi32(sums[c], _mm256_madd_epi16(pairs, ones))
-                    };
+                    sums[c] = _mm256_add_epi16(sums[c], pairs);
                 }
             }
             let mut deltas = [_mm256_setzero_si256(); MAX_CHANNELS];
@@ -620,16 +573,12 @@ mod x86 {
                     };
                 }
             }
-            let ints = crt8::<FUSED, FAULTY>(&k, &sums, &deltas);
+            let ints = crt8::<FAULTY>(&k, &sums, &deltas);
             if R > 0 {
                 let mut dots = [_mm256_setzero_si256(); R];
                 for (r, d) in dots.iter_mut().enumerate() {
                     let c = CHANNELS + r;
-                    *d = if FUSED {
-                        _mm256_madd_epi16(sums[c], ones)
-                    } else {
-                        sums[c]
-                    };
+                    *d = _mm256_madd_epi16(sums[c], ones);
                     if FAULTY {
                         *d = _mm256_add_epi32(*d, deltas[c]);
                     }
@@ -890,29 +839,28 @@ mod tests {
 
     #[test]
     fn crt_lanes_match_to_signed_trusted_on_every_residue_triple() {
-        // Both modes: {31, 32, 33} folds the weights, {63, 64, 65}
-        // reduces every channel.
-        for (moduli, fused) in [([31u64, 32, 33], true), ([63, 64, 65], false)] {
-            let (Some(lanes), conv) = lanes(&moduli, 16) else {
-                assert!(!avx2_available(), "{moduli:?} must admit the lanes");
-                continue;
-            };
-            assert_eq!(lanes.fused, fused, "{moduli:?}");
-            let triples = (0..moduli.iter().product::<u64>()).map(|t| {
-                [
-                    t % moduli[0],
-                    (t / moduli[0]) % moduli[1],
-                    t / (moduli[0] * moduli[1]),
-                ]
-            });
-            one_hot_blocks(triples, |packed, batch| {
-                let got = packed.run(&lanes);
-                for (col, r) in batch.iter().enumerate() {
-                    let want = conv.to_signed_trusted(r) as f32;
-                    assert_eq!(got[col], want, "{moduli:?} residues {r:?}");
-                }
-            });
-        }
+        // {63, 64, 65} has weights above i16::MAX: no lanes, the engine
+        // keeps its scalar panel kernel.
+        assert!(lanes(&[63, 64, 65], 16).0.is_none());
+        let moduli = [31u64, 32, 33];
+        let (Some(lanes), conv) = lanes(&moduli, 16) else {
+            assert!(!avx2_available(), "{moduli:?} must admit the lanes");
+            return;
+        };
+        let triples = (0..moduli.iter().product::<u64>()).map(|t| {
+            [
+                t % moduli[0],
+                (t / moduli[0]) % moduli[1],
+                t / (moduli[0] * moduli[1]),
+            ]
+        });
+        one_hot_blocks(triples, |packed, batch| {
+            let got = packed.run(&lanes);
+            for (col, r) in batch.iter().enumerate() {
+                let want = conv.to_signed_trusted(r) as f32;
+                assert_eq!(got[col], want, "{moduli:?} residues {r:?}");
+            }
+        });
     }
 
     #[test]
@@ -921,34 +869,33 @@ mod tests {
         // base and redundant: every raw dot is its maximum g·(m − 1)²,
         // and since m − 1 ≡ −1 on every channel the vector is the
         // codeword of g, so the checked lanes must pass it.
-        for (base, redundant) in [([31u64, 32, 33], [37u64, 41]), ([63, 64, 65], [37, 41])] {
-            for g in [16usize, 32] {
-                let full: Vec<u64> = base.iter().chain(&redundant).copied().collect();
-                let mut case = Case::filled(g, full.len(), |c, _| (full[c] - 1) as u8);
-                for (c, cols) in case.b.iter_mut().enumerate() {
-                    cols.iter_mut()
-                        .for_each(|col| col.fill((full[c] - 1) as u8));
-                }
-                let (Some(plain), conv) = lanes(&base, g) else {
-                    assert!(!avx2_available());
-                    continue;
-                };
-                let want = case.scalar(&base, None, |r| conv.to_signed_trusted(r));
-                assert_eq!(want, [g as f32; PANEL], "{base:?} g={g}");
-                assert_eq!(bits(case.run(&plain)), bits(want), "{base:?} g={g}");
-                let (Some(lanes), _, rrns) = checked(&base, &redundant, g) else {
-                    panic!("{base:?} + {redundant:?} g={g} must admit checked lanes");
-                };
-                let (sums, mask) = case.run_checked(&lanes, None);
-                let residues: Vec<u64> = full
-                    .iter()
-                    .enumerate()
-                    .map(|(c, &m)| case.dot(c, 0, 0) % m)
-                    .collect();
-                assert!(rrns.is_consistent(g as i128, &residues));
-                assert_eq!(mask, 0, "{base:?} g={g}");
-                assert_eq!(bits(sums), bits(want), "{base:?} g={g}");
+        let (base, redundant) = ([31u64, 32, 33], [37u64, 41]);
+        for g in [16usize, 32] {
+            let full: Vec<u64> = base.iter().chain(&redundant).copied().collect();
+            let mut case = Case::filled(g, full.len(), |c, _| (full[c] - 1) as u8);
+            for (c, cols) in case.b.iter_mut().enumerate() {
+                cols.iter_mut()
+                    .for_each(|col| col.fill((full[c] - 1) as u8));
             }
+            let (Some(plain), conv) = lanes(&base, g) else {
+                assert!(!avx2_available());
+                continue;
+            };
+            let want = case.scalar(&base, None, |r| conv.to_signed_trusted(r));
+            assert_eq!(want, [g as f32; PANEL], "{base:?} g={g}");
+            assert_eq!(bits(case.run(&plain)), bits(want), "{base:?} g={g}");
+            let (Some(lanes), _, rrns) = checked(&base, &redundant, g) else {
+                panic!("{base:?} + {redundant:?} g={g} must admit checked lanes");
+            };
+            let (sums, mask) = case.run_checked(&lanes, None);
+            let residues: Vec<u64> = full
+                .iter()
+                .enumerate()
+                .map(|(c, &m)| case.dot(c, 0, 0) % m)
+                .collect();
+            assert!(rrns.is_consistent(g as i128, &residues));
+            assert_eq!(mask, 0, "{base:?} g={g}");
+            assert_eq!(bits(sums), bits(want), "{base:?} g={g}");
         }
     }
 
@@ -957,14 +904,12 @@ mod tests {
         // {31, 32, 33}: the weighted bound Σ (g(m−1)² + (m−1))·w < 2³¹
         // holds up to g = 34 and fails from g = 35. {5, 7, 9}: the i16
         // group-sum bound 2·quads·8² ≤ i16::MAX holds up to 255 quads
-        // (g = 1020) and fails at 256 (g = 1024). Each side of each
-        // bound, at the all-maximum dot, must equal the scalar CRT.
-        for (moduli, g, fused) in [
-            ([31u64, 32, 33], 34usize, true),
-            ([31, 32, 33], 35, false),
-            ([5, 7, 9], 1020, true),
-            ([5, 7, 9], 1024, false),
-        ] {
+        // (g = 1020) and fails at 256 (g = 1024). Past each bound there
+        // are no lanes; at it, the all-maximum dot must equal the
+        // scalar CRT.
+        assert!(lanes(&[31, 32, 33], 35).0.is_none());
+        assert!(lanes(&[5, 7, 9], 1024).0.is_none());
+        for (moduli, g) in [([31u64, 32, 33], 34usize), ([5, 7, 9], 1020)] {
             let (Some(lanes), conv) = lanes(&moduli, g) else {
                 assert!(!avx2_available());
                 continue;
@@ -979,7 +924,6 @@ mod tests {
             }
             let want = case.scalar(&moduli, None, |r| conv.to_signed_trusted(r));
             assert_eq!(bits(case.run(&lanes)), bits(want), "{moduli:?} g={g}");
-            assert_eq!(lanes.fused, fused, "{moduli:?} g={g}");
         }
     }
 
@@ -999,8 +943,6 @@ mod tests {
             ([31, 32, 33], [37, 41], 32, 3),
             ([31, 32, 33], [37, 41], 5, 4),
             ([31, 32, 33], [37, 41], 34, 2),
-            ([63, 64, 65], [67, 71], 32, 2),
-            ([63, 64, 65], [67, 71], 16, 3),
         ] {
             let (Some(plain), conv) = lanes(&base, g) else {
                 continue;
@@ -1104,15 +1046,13 @@ mod tests {
     fn checked_block_applies_deltas_at_the_maximum_dot() {
         // Every plane holds m − 1, so every raw channel dot is its
         // maximum g·(m − 1)²; a delta of m − 1 then pushes it to the
-        // `g·(m − 1)² + (m − 1)` headroom the constructor admits — in
-        // the fused mode as `δ·w` on the weighted sum, in the wide mode
-        // on the raw dot.
+        // `g·(m − 1)² + (m − 1)` headroom the constructor admits — as
+        // `δ·w` on the weighted sum of a base channel, on the raw dot of
+        // a redundant one.
         for (base, redundant, g) in [
             ([31u64, 32, 33], [37u64, 41], 16usize),
             ([31, 32, 33], [37, 41], 32),
             ([31, 32, 33], [37, 41], 34),
-            ([63, 64, 65], [37, 41], 16),
-            ([63, 64, 65], [37, 41], 32),
         ] {
             let (Some(lanes), conv, rrns) = checked(&base, &redundant, g) else {
                 continue;
@@ -1168,27 +1108,25 @@ mod tests {
         assert!(lanes(&[1021, 1023, 1024], 16).0.is_none());
         assert!(lanes(&[127, 128, 129], 16).0.is_none());
         assert!(checked(&[31, 32, 33], &[37, 131], 16).0.is_none());
-        if avx2_available() {
-            for (k, g, fused) in [
-                (4u64, 16usize, true),
-                (5, 8, true),
-                (5, 16, true),
-                (5, 32, true),
-                (5, 64, false),
-                (6, 16, false),
-                (6, 32, false),
-            ] {
-                let set = [(1 << k) - 1, 1 << k, (1 << k) + 1];
-                let got = lanes(&set, g).0.map(|l| l.fused);
-                assert_eq!(got, Some(fused), "k = {k}, g = {g}");
-            }
-            // The checked fused mode needs the redundant channels' i16
-            // group sums too: 2·4·126² overflows at g = 16.
-            let (Some(lanes), _, _) = checked(&[31, 32, 33], &[37, 127], 16) else {
-                panic!("u8 redundant channels admit checked lanes");
-            };
-            assert!(!lanes.base.fused);
+        // Sets failing a fused bound get no lanes either: {31, 32, 33}
+        // past g = 34, and k = 6 ({63, 64, 65}) at any g.
+        for (k, g, admitted) in [
+            (4u64, 16usize, true),
+            (5, 8, true),
+            (5, 16, true),
+            (5, 32, true),
+            (5, 64, false),
+            (6, 16, false),
+            (6, 32, false),
+        ] {
+            let set = [(1 << k) - 1, 1 << k, (1 << k) + 1];
+            let got = lanes(&set, g).0.is_some();
+            assert_eq!(got, admitted && avx2_available(), "k = {k}, g = {g}");
         }
+        // Checked lanes need the redundant channels' i16 group sums
+        // too: 2·4·126² overflows at g = 16.
+        assert!(checked(&[31, 32, 33], &[37, 127], 16).0.is_none());
+        assert!(checked(&[63, 64, 65], &[37, 41], 16).0.is_none());
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! [`GemmEngine`] sees every convolution as a GEMM, in both the forward
 //! and backward pass.
 //!
-//! Because the engine is pluggable, the lowering picks up the tiled
-//! multi-threaded execution layer for free: pass a
+//! Because the engine is pluggable, the lowering picks up the
+//! row-banded multi-threaded execution layer for free: pass a
 //! [`crate::parallel::ParallelGemm`]-wrapped engine and the im2col GEMM
 //! — whose `b·oh·ow` patch rows dwarf the other dimensions — fans out
 //! across worker threads bit-identically for tile-invariant engines.
@@ -506,17 +506,13 @@ mod tests {
         let x = Tensor::randn(&[2, 3, 12, 12], 1.0, &mut rng);
         let wt = Tensor::randn(&[8, 3, 3, 3], 0.5, &mut rng);
         let serial = conv2d_forward(&x, &wt, &g, &ExactEngine).unwrap();
-        let tiled = ExactEngine.parallel_with(TileConfig {
-            tile_m: 32,
-            tile_n: 4,
-            threads: 4,
-        });
-        let parallel = conv2d_forward(&x, &wt, &g, &tiled).unwrap();
+        let banded = ExactEngine.parallel_with(TileConfig::auto().with_threads(4));
+        let parallel = conv2d_forward(&x, &wt, &g, &banded).unwrap();
         assert_eq!(parallel.data(), serial.data());
 
         let d_out = Tensor::ones(serial.shape());
         let (dx_s, dw_s) = conv2d_backward(&x, &wt, &d_out, &g, &ExactEngine).unwrap();
-        let (dx_p, dw_p) = conv2d_backward(&x, &wt, &d_out, &g, &tiled).unwrap();
+        let (dx_p, dw_p) = conv2d_backward(&x, &wt, &d_out, &g, &banded).unwrap();
         assert_eq!(dx_p.data(), dx_s.data());
         assert_eq!(dw_p.data(), dw_s.data());
     }

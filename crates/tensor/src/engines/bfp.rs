@@ -28,8 +28,9 @@ thread_local! {
 ///
 /// Tile-invariant: quantization groups run along the reduction dimension
 /// of individual rows (of `A`) and columns (of `B`), so
-/// [`crate::parallel::ParallelGemm`] reproduces this engine bit-exactly
-/// under row/column tiling — the determinism regression tests enforce it.
+/// [`crate::parallel::ParallelGemm`]'s row bands and the shard
+/// planner's column shards reproduce this engine bit-exactly — the
+/// determinism regression tests enforce it.
 ///
 /// ```
 /// use mirage_tensor::{Tensor, GemmEngine, engines::{BfpEngine, ExactEngine}};

@@ -33,17 +33,17 @@ use std::sync::Arc;
 /// A matrix-multiplication backend.
 ///
 /// Implementors are `Send + Sync` so training loops can share them across
-/// threads, and any engine can be lifted onto the tiled multi-threaded
-/// execution layer with [`GemmEngine::parallel`]:
+/// threads, and any engine can be lifted onto the row-banded
+/// multi-threaded execution layer with [`GemmEngine::parallel`]:
 ///
 /// ```
 /// use mirage_tensor::{Tensor, GemmEngine, engines::ExactEngine};
 ///
 /// let a = Tensor::full(&[64, 48], 0.25);
 /// let b = Tensor::full(&[48, 64], -2.0);
-/// let tiled = ExactEngine.parallel(); // auto tile + thread heuristic
+/// let banded = ExactEngine.parallel(); // auto worker count
 /// assert_eq!(
-///     tiled.gemm(&a, &b)?.data(),
+///     banded.gemm(&a, &b)?.data(),
 ///     ExactEngine.gemm(&a, &b)?.data(), // bit-identical to serial
 /// );
 /// # Ok::<(), mirage_tensor::TensorError>(())
@@ -63,10 +63,11 @@ pub trait GemmEngine: Send + Sync {
 
     /// Whether each output element depends only on its own row of `A`
     /// and column of `B`, so that partitioning the output over row bands
-    /// and column tiles reproduces the serial result **bit-exactly**.
+    /// (the parallel driver) or column shards (the shard planner)
+    /// reproduces the serial result **bit-exactly**.
     ///
     /// Defaults to `false` — the conservative choice: a new engine is
-    /// never tiled until its author audits the quantization state and
+    /// never split until its author audits the quantization state and
     /// opts in, so [`ParallelGemm`] can at worst lose parallelism, never
     /// silently change results. Override to `true` only when all
     /// quantization state is per-row (`A`) / per-column (`B`) /
@@ -218,8 +219,8 @@ pub trait GemmEngine: Send + Sync {
         gemm_raw_into(self, a, b, epilogue, out)
     }
 
-    /// Lifts the engine onto the tiled multi-threaded driver with the
-    /// automatic tile/thread heuristic ([`TileConfig::auto`]).
+    /// Lifts the engine onto the row-banded multi-threaded driver with
+    /// the automatic worker count ([`TileConfig::auto`]).
     fn parallel(self) -> ParallelGemm<Self>
     where
         Self: Sized,
@@ -227,8 +228,8 @@ pub trait GemmEngine: Send + Sync {
         ParallelGemm::auto(self)
     }
 
-    /// Lifts the engine onto the tiled multi-threaded driver with an
-    /// explicit [`TileConfig`].
+    /// Lifts the engine onto the row-banded multi-threaded driver with
+    /// an explicit [`TileConfig`].
     fn parallel_with(self, config: TileConfig) -> ParallelGemm<Self>
     where
         Self: Sized,

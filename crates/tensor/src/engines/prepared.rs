@@ -3,13 +3,13 @@
 //! Serving-scale inference multiplies millions of activation matrices
 //! against the *same* static weight matrix. Engines that quantize their
 //! operands (BFP, RNS-BFP, the photonic device path) used to redo the
-//! B-side quantization on every call — and, under the tiled parallel
-//! driver, once per row band on top of that. [`PreparedRhs`] makes
+//! B-side quantization on every call — and, under the parallel driver,
+//! once per row band on top of that. [`PreparedRhs`] makes
 //! weight preparation a one-time cost: [`GemmEngine::prepare`] quantizes
 //! (and, for RNS engines, residue-converts) the weight once, and
 //! [`GemmEngine::gemm_prepared`] reuses that state on every subsequent
-//! call, bit-identically to the unprepared path. Column tiles and
-//! shards are windows of one preparation ([`PreparedRhs::cols`]), never
+//! call, bit-identically to the unprepared path. Column shards are
+//! windows of one preparation ([`PreparedRhs::cols`]), never
 //! re-preparations.
 //!
 //! A preparation carries **one** representation of the weight: the
@@ -141,10 +141,9 @@ impl PreparedRhs {
     }
 
     /// The column window `[c0, c0 + width)` of this preparation — the
-    /// tiled parallel driver's column tiles and the shard planner's
-    /// column shards. An engine state is shared through its [`Arc`] (no
+    /// shard planner's column shards. An engine state is shared through its [`Arc`] (no
     /// re-quantization, no weight copy) and `c0` adds to
-    /// [`PreparedRhs::col_start`], so a tile of a tile addresses the
+    /// [`PreparedRhs::col_start`], so a window of a window addresses the
     /// original buffers. A raw-matrix state (the default preparation)
     /// is sliced here, once, so calls against the window read its
     /// columns directly. Any engine's prepared GEMM against the window
@@ -390,7 +389,7 @@ mod tests {
     }
 
     /// 64×64 · 64×16 is two `MIN_PARALLEL_WORK` quanta: the 2-worker
-    /// driver fans out over 8-column tiles on any host with two or more
+    /// driver fans out over two row bands on any host with two or more
     /// cores.
     fn operands() -> (Tensor, Tensor) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(60);
@@ -401,15 +400,11 @@ mod tests {
     }
 
     /// `engine` raw and behind every adapter that forwards the prepared
-    /// surface: `Arc`, `Box`, a 2-worker `ParallelGemm` with 8-column
-    /// tiles, and a zero-rate `FaultyEngine`.
+    /// surface: `Arc`, `Box`, a 2-worker `ParallelGemm`, and a
+    /// zero-rate `FaultyEngine`.
     fn adapters(engine: Arc<dyn GemmEngine>) -> Vec<(&'static str, Box<dyn GemmEngine>)> {
         let injector = Arc::new(FaultInjector::new(FaultConfig::disabled(1)));
-        let two_workers = TileConfig {
-            tile_m: 16,
-            tile_n: 8,
-            threads: 2,
-        };
+        let two_workers = TileConfig::auto().with_threads(2);
         vec![
             ("engine", Box::new(Arc::clone(&engine))),
             ("box", Box::new(Box::new(Arc::clone(&engine)))),

@@ -73,9 +73,7 @@ impl GemmEngine for StochasticBfpEngine {
     /// `false`: rounding randomness is keyed on each element's **absolute
     /// row/chunk position**, so the same value quantizes differently
     /// inside a sliced operand. [`crate::parallel::ParallelGemm`]
-    /// therefore runs this engine on its serial path (its `gemm_batch`
-    /// still parallelizes across batch items, which preserves per-item
-    /// positions exactly).
+    /// therefore runs this engine on its serial path.
     fn tile_invariant(&self) -> bool {
         false
     }

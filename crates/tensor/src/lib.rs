@@ -25,9 +25,10 @@
 //! layer ([`FaultInjector`], [`FaultyEngine`]) that corrupts any of
 //! these engines under live traffic.
 //!
-//! Any engine can be lifted onto the tiled multi-threaded execution
-//! layer ([`parallel::ParallelGemm`]) with [`GemmEngine::parallel`]; the
-//! driver partitions the output over scoped worker threads and is
+//! Any engine can be lifted onto the multi-threaded execution layer
+//! ([`parallel::ParallelGemm`]) with [`GemmEngine::parallel`]; the
+//! driver splits the output rows into one band per scoped worker
+//! thread and is
 //! bit-identical to the serial path for tile-invariant engines.
 //!
 //! ```

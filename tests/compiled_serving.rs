@@ -3,8 +3,8 @@
 //!
 //! `CompiledNetwork::run{,_batch}` must equal the eager
 //! `Sequential::forward` **to the last bit** across every arithmetic
-//! (exact / BFP / RNS-BFP / photonic), serial × parallel tile
-//! configurations, batch sizes {1, 7, 128}, and from any number of
+//! (exact / BFP / RNS-BFP / photonic), serial × parallel worker
+//! counts, batch sizes {1, 7, 128}, and from any number of
 //! concurrent threads sharing one compiled model — compilation is a
 //! caching transformation, never a numerical one. A call-counting
 //! engine additionally proves the cache claim itself: after compile,
@@ -19,21 +19,13 @@ use mirage::Mirage;
 use mirage_bench::CountingEngine;
 use rand::SeedableRng;
 
-/// Every (engine, tiling) stack of the grid: the four arithmetic paths,
-/// each serial and under two parallel tile configurations (including a
-/// column-tiled one, which exercises `PreparedRhs::cols` windows).
+/// Every (engine, driver) stack of the grid: the four arithmetic paths,
+/// each serial and under the row-banded driver at 2 and 4 threads.
 fn engine_stacks(mirage: &Mirage) -> Vec<(String, Engines)> {
     let tilings: [(&str, Option<TileConfig>); 3] = [
         ("serial", None),
         ("par-auto4", Some(TileConfig::auto().with_threads(4))),
-        (
-            "par-tiled",
-            Some(TileConfig {
-                tile_m: 8,
-                tile_n: 8,
-                threads: 2,
-            }),
-        ),
+        ("par-auto2", Some(TileConfig::auto().with_threads(2))),
     ];
     let mut stacks = Vec::new();
     for (tname, config) in tilings {

@@ -25,8 +25,8 @@ use mirage::{Mirage, ShardPlan, ShardSpec};
 use rand::SeedableRng;
 
 /// The tile-invariant engine stacks of the grid: exact / BFP / RNS-BFP,
-/// serial and under a parallel tile configuration (sharding composes
-/// with intra-shard tiling).
+/// serial and under the row-banded parallel driver (sharding composes
+/// with intra-shard row bands).
 fn shardable_stacks(mirage: &Mirage) -> Vec<(String, Engines)> {
     let tilings: [(&str, Option<TileConfig>); 2] = [
         ("serial", None),
